@@ -29,7 +29,7 @@ use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_core::engine::{Step, SubsetRemap};
 use stepstone_core::flow::{build_kernel_program_seed, GemmContext};
 use stepstone_core::{GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig};
-use stepstone_dram::{CasKind, CommandBus, MemoryBackend, Port, TimingState};
+use stepstone_dram::{CasKind, CommandBus, Port, TimingState};
 
 /// Remap helper mirroring the seed engine's `SubsetRemap::remap` (private
 /// in core).
@@ -187,7 +187,7 @@ impl SeedUnitCursor {
         Some(self.not_before)
     }
 
-    fn advance<B: MemoryBackend>(&mut self, ts: &mut B, bus: &mut CommandBus, mapping: &XorMapping) {
+    fn advance(&mut self, ts: &mut TimingState, bus: &mut CommandBus, mapping: &XorMapping) {
         self.fill_window(mapping);
         if self.window.is_empty() {
             let Some(step) = self.peeked.take().or_else(|| self.steps.next()) else {
@@ -271,11 +271,9 @@ impl SeedUnitCursor {
     }
 }
 
-/// The seed's `run_phase`: linear scan over all units per step. Generic
-/// over [`MemoryBackend`] so the replayer can drive any timing tier, though
-/// the committed baseline always replays against the exact model.
-pub fn run_phase_seed<B: MemoryBackend>(
-    ts: &mut B,
+/// The seed's `run_phase`: linear scan over all units per step.
+pub fn run_phase_seed(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [SeedUnitCursor],

@@ -21,9 +21,7 @@ use crate::flow::{GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::{PimLevel, RegionPlan, StepStoneAgen};
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, TimingState, TrafficSource,
-};
+use stepstone_dram::{CommandBus, TimingState, TrafficSource};
 #[cfg(test)]
 use stepstone_dram::Port;
 use stepstone_pim::{KernelGranularity, LocalizationMode, PimLevelConfig};
@@ -58,29 +56,11 @@ fn simulate_pei_pow2(
         subset_drop_bits: 0,
         localization: Some(LocalizationMode::HostMediated { gap_cycles: HOST_COPY_GAP }),
     };
-    let ctx = GemmContext::build(sys, spec, &opts);
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_pei_engine(&mut ts, sys, &opts, traffic, &ctx)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_pei_engine(&mut ts, sys, &opts, traffic, &ctx)
-        }
+    let ctx = &GemmContext::build(sys, spec, &opts);
+    let ts = &mut TimingState::new(sys.dram);
+    if sys.trace {
+        ts.enable_trace();
     }
-}
-
-fn simulate_pei_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    ctx: &GemmContext,
-) -> LatencyReport {
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let mut report = LatencyReport { clock_hz: sys.dram.clock_hz, ..Default::default() };
     let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
@@ -161,7 +141,7 @@ fn simulate_pei_engine<B: MemoryBackend>(
     let red_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, tcur.as_mut(), sys.parallel);
     report.add_phase(Phase::Reduction, red_end - kernel_end);
     report.total = red_end;
-    report.dram = *ts.stats();
+    report.dram = ts.stats;
     report.activity = activity;
     report.backend = "PEI".into();
     report
@@ -193,31 +173,12 @@ fn simulate_ncho_pow2(
     let opts = SimOptions::stepstone(level);
     // Context only provides the mapping/layout/partition algebra; nCHO
     // carves its own vector regions.
-    let ctx = GemmContext::build(sys, spec, &opts);
+    let ctx = &GemmContext::build(sys, spec, &opts);
     let cfg = PimLevelConfig::nominal(level);
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_ncho_engine(&mut ts, sys, spec, &cfg, traffic, &ctx)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_ncho_engine(&mut ts, sys, spec, &cfg, traffic, &ctx)
-        }
+    let ts = &mut TimingState::new(sys.dram);
+    if sys.trace {
+        ts.enable_trace();
     }
-}
-
-fn simulate_ncho_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    cfg: &PimLevelConfig,
-    traffic: Option<&mut dyn TrafficSource>,
-    ctx: &GemmContext,
-) -> LatencyReport {
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let mut report = LatencyReport { clock_hz: sys.dram.clock_hz, ..Default::default() };
     let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
@@ -333,7 +294,7 @@ fn simulate_ncho_engine<B: MemoryBackend>(
         t = red_end;
     }
     report.total = t;
-    report.dram = *ts.stats();
+    report.dram = ts.stats;
     report.activity = activity;
     report.backend = "nCHO".into();
     report

@@ -1,6 +1,5 @@
 //! Whole-system configuration for StepStone simulations.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::agen::AgenRules;
 use stepstone_addr::{mapping_by_id, MappingId, PageMap, PagingConfig, XorMapping};
 use stepstone_dram::{BackendKind, DramConfig};
@@ -8,7 +7,7 @@ use stepstone_fabric::{FabricConfig, ReduceVia};
 use stepstone_pim::{LaunchModel, LocalizationMode};
 
 /// Address-generation variants compared in Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgenMode {
     /// The naive block-by-block scan.
     Naive,
@@ -23,7 +22,7 @@ impl Default for AgenMode {
 }
 
 /// Everything a simulation needs besides the GEMM itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     pub dram: DramConfig,
     pub mapping_id: MappingId,
@@ -46,9 +45,10 @@ pub struct SystemConfig {
     /// the exact per-block scheduling path; reports must be unchanged.
     pub trace: bool,
     /// Which memory-model tier simulations run on. `Exact` (default) is
-    /// the cycle-exact Table-II model; `Analytic` swaps in the closed-form
-    /// fast tier for design-space sweeps (validation is force-disabled on
-    /// paths without a functional datapath).
+    /// the cycle-exact Table-II model; `Analytic` prices traffic-free
+    /// StepStone GEMMs with the closed-form executor (`crate::analytic`)
+    /// for design-space sweeps. Flows with no closed form (colocated
+    /// traffic, PEI, nCHO, fused kernels) run exact under either setting.
     pub backend: BackendKind,
     /// How the Phase-3 partial-`C` merge moves across PIM devices.
     /// `HostDma` (default) is the paper's path and is bit-identical to the

@@ -8,11 +8,9 @@
 //! backend stay approximately time-ordered while PIM units with disjoint
 //! bank partitions proceed concurrently.
 //!
-//! The engine core is generic over [`MemoryBackend`] — the exact
-//! [`TimingState`](stepstone_dram::TimingState) Table-II model by default,
-//! or the analytic fast tier — and everything monomorphizes, so the
-//! default path compiles to the same code as when `TimingState` was
-//! hardwired.
+//! Every commit goes through the exact Table-II model, [`TimingState`];
+//! the closed-form analytic tier (`crate::analytic`) never drives the
+//! engine.
 //!
 //! The per-unit model implements the paper's pipeline semantics (§III-A,
 //! §V-C): a 20-deep execution pipeline hides DRAM and AGEN latency; the
@@ -26,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TrafficSource,
+    CasKind, CommandBus, DramStats, Port, RunReply, TimingState, TrafficSource,
 };
 
 /// Process-wide override forcing the all-or-nothing span fast path off
@@ -781,9 +779,9 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// Execute the next step.
-    pub fn advance<B: MemoryBackend>(
+    pub fn advance(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
@@ -796,9 +794,9 @@ impl<'a> UnitCursor<'a> {
     /// [`UnitCursor::window_scope_uniform`]; additionally requires the
     /// front to be a row *hit* — a row-conflict front can legitimately lose
     /// to a later entry whose bank precharges earlier).
-    fn advance_impl<B: MemoryBackend>(
+    fn advance_impl(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
         allow_front: bool,
@@ -959,7 +957,7 @@ impl<'a> UnitCursor<'a> {
     /// steady row-hit run may stream arbitrarily far ahead of other units'
     /// scheduler turns: the FR-FCFS selection is provably the front entry
     /// (see `UnitCursor::window_scope_uniform`), the closed-form CAS
-    /// cadence of [`MemoryBackend::access_run_with`] is exact, and same-row
+    /// cadence of [`TimingState::access_run_with`] is exact, and same-row
     /// CAS commands read and write only the unit's own bank and datapath
     /// stamps — so commits from other (lagging) units cannot change them,
     /// and batch-issuing the whole run commutes with the per-block
@@ -968,9 +966,9 @@ impl<'a> UnitCursor<'a> {
     /// FR-FCFS probes of a mixed window — still waits for its exact
     /// scheduler turn, so results stay bit-identical to repeated
     /// [`UnitCursor::advance`] calls.
-    pub fn advance_batch<B: MemoryBackend>(
+    pub fn advance_batch(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
         fast: bool,
@@ -1145,9 +1143,9 @@ impl<'a> TrafficCursor<'a> {
         Some(self.arrival)
     }
 
-    fn advance<B: MemoryBackend>(
+    fn advance(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
@@ -1165,9 +1163,9 @@ impl<'a> TrafficCursor<'a> {
     /// Serve every tenant request arriving at or before `t` — the serving
     /// loop's idle-gap catch-up between back-to-back PIM passes, when no
     /// phase engine is running to interleave the cursor.
-    pub fn drain_until<B: MemoryBackend>(
+    pub fn drain_until(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
         t: u64,
@@ -1185,8 +1183,8 @@ impl<'a> TrafficCursor<'a> {
 /// is a min-heap updated only for the unit that just advanced — identical
 /// scheduling to the seed's linear scan (lowest index wins ties), at
 /// O(log units) per step.
-pub fn run_phase<B: MemoryBackend>(
-    ts: &mut B,
+pub fn run_phase(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [UnitCursor],
@@ -1197,8 +1195,8 @@ pub fn run_phase<B: MemoryBackend>(
 }
 
 /// The serial phase engine over a pre-selected set of units.
-fn run_units<B: MemoryBackend>(
-    ts: &mut B,
+fn run_units(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [&mut UnitCursor],
@@ -1216,7 +1214,6 @@ fn run_units<B: MemoryBackend>(
     // and breaking the "front row hit starts no later than any window
     // sibling" inference.
     let fast = span_fast_path_enabled()
-        && ts.supports_closed_form_runs()
         && traffic.is_none()
         && !ts.config().refresh
         && !ts.trace_enabled()
@@ -1290,8 +1287,8 @@ fn run_units<B: MemoryBackend>(
 /// `TrafficCursor` may roam across channels), when command tracing is
 /// active (the trace must stay time-ordered), or when fewer than two
 /// channel groups exist.
-pub fn run_phase_auto<B: MemoryBackend>(
-    ts: &mut B,
+pub fn run_phase_auto(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [UnitCursor],
@@ -1315,11 +1312,11 @@ pub fn run_phase_auto<B: MemoryBackend>(
         }
     }
     use rayon::prelude::*;
-    let results: Vec<(u32, B, CommandBus, u64)> = groups
+    let results: Vec<(u32, TimingState, CommandBus, u64)> = groups
         .into_par_iter()
         .map(|(ch, mut group)| {
             let mut lts = ts.clone();
-            *lts.stats_mut() = DramStats::default();
+            lts.stats = DramStats::default();
             let mut lbus = bus.clone();
             let end = run_units(&mut lts, &mut lbus, mapping, &mut group, None);
             (ch, lts, lbus, end)
@@ -1328,7 +1325,7 @@ pub fn run_phase_auto<B: MemoryBackend>(
     let mut end = 0;
     for (ch, lts, lbus, group_end) in &results {
         ts.adopt_channel(lts, *ch);
-        ts.stats_mut().merge(lts.stats());
+        ts.stats.merge(&lts.stats);
         bus.adopt_channel(lbus, *ch as usize);
         end = end.max(*group_end);
     }

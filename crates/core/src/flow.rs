@@ -25,9 +25,7 @@ use stepstone_addr::{
     AgenSpan, GroupAnalysis, KeyRuns, MatrixLayout, NaiveAgen, PageMap, PagingConfig, PimLevel,
     RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping, BLOCK_BYTES, BLOCK_SHIFT,
 };
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, Port, TimingState, TrafficSource,
-};
+use stepstone_dram::{BackendKind, CommandBus, Port, TimingState, TrafficSource};
 use stepstone_fabric::{FabricState, FabricStats, ReduceVia};
 use stepstone_pim::{
     BufferPlan, KernelGranularity, LocalizationMode, PimLevelConfig, TransferPlan,
@@ -82,33 +80,15 @@ pub fn simulate_gemm(sys: &SystemConfig, spec: &GemmSpec, level: PimLevel) -> La
     simulate_gemm_opt(sys, spec, &SimOptions::stepstone(level), None)
 }
 
-/// Simulate one GEMM with explicit options and optional colocated traffic.
+/// Simulate one GEMM with explicit options and optional colocated traffic
+/// ([`simulate_gemm_session`] over a fresh [`SessionCache`]).
 pub fn simulate_gemm_opt(
     sys: &SystemConfig,
     spec: &GemmSpec,
     opts: &SimOptions,
-    mut traffic: Option<&mut dyn TrafficSource>,
+    traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
-    let mut report = LatencyReport {
-        backend: format!("STP-{}", opts.level_cfg.level.tag()),
-        clock_hz: sys.dram.clock_hz,
-        ..Default::default()
-    };
-    for sub in spec.decompose_pow2() {
-        let r = simulate_pow2_gemm(sys, &sub, opts, stepstone_dram::traffic::reborrow(&mut traffic));
-        report.chain(&r);
-    }
-    report.backend = format!(
-        "{}-{}",
-        match opts.granularity {
-            KernelGranularity::CoarseStepStone =>
-                if opts.subset_drop_bits > 0 { "STP/subset" } else { "STP" },
-            KernelGranularity::PerDotProduct => "eCHO",
-            KernelGranularity::PerCacheBlock => "PEI",
-        },
-        opts.level_cfg.level.tag()
-    );
-    report
+    simulate_gemm_session(sys, spec, opts, &SessionCache::new(), traffic)
 }
 
 /// Everything shape-dependent that a [`GemmContext`] build consumes: the
@@ -216,9 +196,9 @@ impl SessionCache {
     }
 }
 
-/// [`simulate_gemm_opt`] through the persistent session layer: identical
-/// report (the build/execute split is behavioral refactoring, not a model
-/// change), but repeated shapes skip the context build entirely.
+/// Simulate one GEMM (non-power-of-two shapes are decomposed) through the
+/// persistent session layer: each power-of-two piece takes its context from
+/// `cache`, so repeated shapes skip the context build entirely.
 pub fn simulate_gemm_session(
     sys: &SystemConfig,
     spec: &GemmSpec,
@@ -1181,12 +1161,11 @@ pub fn simulate_pow2_gemm(
 
 /// Simulate a single power-of-two GEMM with an explicit execution mode
 /// (see [`ExecMode`]; `Materialized` is the seed path kept for equivalence
-/// tests and benchmarks). Dispatches on the system's memory-backend tier:
-/// `Exact` drives the phase engine over the cycle-exact [`TimingState`]
-/// (the default path — bit-identical to the pre-trait code); `Analytic`
-/// uses the closed-form executor (`crate::analytic`), falling back to the
-/// engine over [`AnalyticState`] when colocated traffic or tracing needs
-/// per-block scheduling.
+/// tests and benchmarks). Under [`BackendKind::Exact`] (the default) the
+/// phase engine drives the cycle-exact [`TimingState`]; under
+/// [`BackendKind::Analytic`] the closed-form executor (`crate::analytic`)
+/// prices the GEMM instead, except when colocated traffic is present,
+/// which only the exact engine can interleave.
 pub fn simulate_pow2_gemm_exec(
     sys: &SystemConfig,
     spec: &GemmSpec,
@@ -1212,25 +1191,18 @@ pub fn simulate_pow2_gemm_ctx(
     ctx: &GemmContext,
     t0: u64,
 ) -> LatencyReport {
-    let mut report = match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_pow2_gemm_engine(&mut ts, sys, opts, traffic, mode, ctx, t0)
+    // The closed-form executor has no notion of interleaved foreign
+    // requests, so colocated traffic always runs on the exact engine.
+    let mut report = if sys.backend == BackendKind::Analytic && traffic.is_none() {
+        crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
+    } else {
+        let mut ts = TimingState::new(sys.dram);
+        if sys.trace {
+            ts.enable_trace();
         }
-        BackendKind::Analytic => {
-            if traffic.is_some() {
-                // The closed-form executor has no notion of interleaved
-                // foreign requests; drive the engine over the analytic
-                // per-bank state instead (still no Table-II bus model).
-                let mut ts = AnalyticState::new(sys.dram);
-                simulate_pow2_gemm_engine(&mut ts, sys, opts, traffic, mode, ctx, t0)
-            } else {
-                crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
-            }
-        }
+        let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
+        let mut tcur = traffic.map(|t| TrafficCursor::new(t, t0));
+        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur.as_mut(), mode, ctx, t0)
     };
     report.clock_hz = sys.dram.clock_hz;
     if sys.validate {
@@ -1240,25 +1212,6 @@ pub fn simulate_pow2_gemm_ctx(
     report
 }
 
-/// The engine-driven GEMM simulation over any [`MemoryBackend`] — the body
-/// of [`simulate_pow2_gemm_exec`], generic so the exact path monomorphizes
-/// to the pre-trait code. Creates a fresh command bus and traffic cursor;
-/// the serving layer's persistent-state variant is
-/// [`simulate_pow2_gemm_resident`].
-fn simulate_pow2_gemm_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    mode: ExecMode,
-    ctx: &GemmContext,
-    t0: u64,
-) -> LatencyReport {
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let mut tcur = traffic.map(|t| TrafficCursor::new(t, t0));
-    simulate_pow2_gemm_resident(ts, &mut bus, sys, opts, tcur.as_mut(), mode, ctx, t0)
-}
-
 /// One GEMM pass over *persistent* memory-system state: the caller owns the
 /// timing state, command bus, and (optionally) a colocated-traffic cursor
 /// that all survive across back-to-back requests — the substrate of the
@@ -1266,8 +1219,8 @@ fn simulate_pow2_gemm_engine<B: MemoryBackend>(
 /// (which must be at or after every prior pass's completion on `ts`), and
 /// the returned report counts cycles relative to `t0`.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
-    ts: &mut B,
+pub fn simulate_pow2_gemm_resident(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     sys: &SystemConfig,
     opts: &SimOptions,
@@ -1278,7 +1231,7 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
 ) -> LatencyReport {
     let loc_mode = opts.localization.unwrap_or(sys.localization);
     let mut report = LatencyReport::default();
-    let stats0 = *ts.stats();
+    let stats0 = ts.stats;
 
     // Phase 1: localization (B replication; source is CPU-cached, §IV).
     let mut loc =
@@ -1382,7 +1335,7 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
     report.add_phase(Phase::Reduction, red_end - kernel_end);
 
     report.total = red_end - t0;
-    report.dram = ts.stats().delta(&stats0);
+    report.dram = ts.stats.delta(&stats0);
     report.activity = activity;
     report
 }

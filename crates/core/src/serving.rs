@@ -18,9 +18,7 @@ use crate::flow::{fabric_reduce, transfer_cursors, GemmContext, KernelStream, Si
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::PimLevel;
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, TimingState, TrafficSource,
-};
+use stepstone_dram::{CommandBus, TimingState, TrafficSource};
 
 /// The largest per-kernel batch the PIMs run efficiently (§V-B splits to
 /// batch-32 chunks).
@@ -126,29 +124,10 @@ pub fn simulate_gemm_fused(
         cursor = ctx.layout.end().max(cursor + size);
         ctxs.push(ctx);
     }
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_fused_engine(&mut ts, sys, spec, opts, traffic, &ctxs)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_fused_engine(&mut ts, sys, spec, opts, traffic, &ctxs)
-        }
+    let ts = &mut TimingState::new(sys.dram);
+    if sys.trace {
+        ts.enable_trace();
     }
-}
-
-fn simulate_fused_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    ctxs: &[GemmContext],
-) -> LatencyReport {
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let loc_mode = opts.localization.unwrap_or(sys.localization);
     let mut report = LatencyReport {
@@ -252,7 +231,7 @@ fn simulate_fused_engine<B: MemoryBackend>(
     // fabric transit of its merged payload extends the round before the
     // next sub-matrix drains (one fabric round per sub-GEMM).
     let mut red_end = kernel_end;
-    for ctx in ctxs {
+    for ctx in &ctxs {
         let round_start = red_end;
         let mut red = transfer_cursors(
             ctx,
@@ -277,7 +256,7 @@ fn simulate_fused_engine<B: MemoryBackend>(
     }
     report.add_phase(Phase::Reduction, red_end - kernel_end);
     report.total = red_end;
-    report.dram = *ts.stats();
+    report.dram = ts.stats;
     report.activity = activity;
     report
 }

@@ -13,7 +13,6 @@
 //! (the Ramulator approach), so simulating a multi-million-cycle GEMM costs
 //! microseconds per thousand blocks.
 
-pub mod analytic;
 pub mod audit;
 pub mod backend;
 pub mod cmdbus;
@@ -22,9 +21,8 @@ pub mod memory;
 pub mod timing;
 pub mod traffic;
 
-pub use analytic::AnalyticState;
 pub use audit::{CmdKind, CmdRecord, CommandTrace};
-pub use backend::{BackendKind, MemoryBackend};
+pub use backend::BackendKind;
 pub use cmdbus::CommandBus;
 pub use config::{DramConfig, TimingParams};
 pub use memory::SparseMem;

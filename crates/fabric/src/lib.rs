@@ -18,9 +18,9 @@
 //!   partial-`C` payload is routed to a root node and folded in by the
 //!   root's accumulator.
 //!
-//! The fabric *composes with* `dram::MemoryBackend` rather than replacing
-//! it: the engine drains each device's partial-`C` region through the
-//! memory backend exactly as the host-DMA path does (same DRAM command
+//! The fabric *composes with* the DRAM timing model rather than replacing
+//! it: the engine drains each device's partial-`C` region through
+//! `dram::TimingState` exactly as the host-DMA path does (same DRAM command
 //! stream, same `DramStats`), and the per-channel drain completion times
 //! become the fabric's injection times. Senders stall only for the local
 //! handoff — once a message is accepted by its first link, the producing

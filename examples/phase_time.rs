@@ -6,8 +6,8 @@
 //! other).
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
-//!         [--backend=exact|analytic] [--preset=ddr4|ddr5|lpddr5|hbm2]`
-//! (defaults to 2048 2048 64 at StepStone-BG on the exact DDR4 tier).
+//!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
+//! (defaults to 2048 2048 64 at StepStone-BG on DDR4).
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
@@ -16,20 +16,14 @@ use stepstone_core::engine::{
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, DramConfig, MemoryBackend, TimingState,
-};
+use stepstone_dram::{CommandBus, DramConfig, TimingState};
 
 fn main() {
     let mut dims: Vec<usize> = Vec::new();
-    let mut backend = BackendKind::Exact;
     let mut dram = DramConfig::default();
     let mut preset = "ddr4".to_string();
     for arg in std::env::args().skip(1) {
-        if let Some(name) = arg.strip_prefix("--backend=") {
-            backend = BackendKind::by_name(name)
-                .unwrap_or_else(|| panic!("unknown backend '{name}' (exact|analytic)"));
-        } else if let Some(name) = arg.strip_prefix("--preset=") {
+        if let Some(name) = arg.strip_prefix("--preset=") {
             dram = DramConfig::by_name(name)
                 .unwrap_or_else(|| panic!("unknown preset '{name}' (ddr4|ddr5|lpddr5|hbm2)"));
             preset = name.to_string();
@@ -39,17 +33,12 @@ fn main() {
     }
     let (m, k, n) =
         if dims.len() == 3 { (dims[0], dims[1], dims[2]) } else { (2048, 2048, 64) };
-    let sys = SystemConfig { parallel: false, ..SystemConfig::default() }
-        .with_backend(backend)
-        .with_dram(dram);
-    println!("backend {} on {preset} ({} MHz)", backend.name(), dram.clock_hz / 1_000_000);
-    match sys.backend {
-        BackendKind::Exact => profile(&mut TimingState::new(sys.dram), &sys, m, k, n),
-        BackendKind::Analytic => profile(&mut AnalyticState::new(sys.dram), &sys, m, k, n),
-    }
+    let sys = SystemConfig { parallel: false, ..SystemConfig::default() }.with_dram(dram);
+    println!("{preset} ({} MHz)", dram.clock_hz / 1_000_000);
+    profile(&mut TimingState::new(sys.dram), &sys, m, k, n);
 }
 
-fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize, n: usize) {
+fn profile(ts: &mut TimingState, sys: &SystemConfig, m: usize, k: usize, n: usize) {
     let spec = GemmSpec::new(m, k, n);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
     let ctx = GemmContext::build(sys, &spec, &opts);
@@ -87,7 +76,7 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
         loc_mode.inter_block_gap(),
     );
     let loc_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut loc, None, sys.parallel);
-    let loc_blocks = ts.stats().accesses();
+    let loc_blocks = ts.stats.accesses();
     phase_stats("loc   ", t0, loc_blocks, run_counters());
 
     let t0 = Instant::now();
@@ -113,7 +102,7 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
         })
         .collect();
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
-    let kern_blocks = ts.stats().accesses() - loc_blocks;
+    let kern_blocks = ts.stats.accesses() - loc_blocks;
     phase_stats("kernel", t0, kern_blocks, run_counters());
 
     let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
@@ -128,6 +117,6 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
         loc_mode.inter_block_gap(),
     );
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, None, sys.parallel);
-    let red_blocks = ts.stats().accesses() - loc_blocks - kern_blocks;
+    let red_blocks = ts.stats.accesses() - loc_blocks - kern_blocks;
     phase_stats("red   ", t0, red_blocks, run_counters());
 }

@@ -1,6 +1,6 @@
 # Developer entry points. `just` users: see justfile (same targets).
 
-.PHONY: build test clippy doc matrix ci bench-smoke bench-paper
+.PHONY: build test clippy doc matrix ci bench-smoke bench-paper perfbench
 
 build:
 	cargo build --release
@@ -27,9 +27,25 @@ matrix:
 	cargo test --release -p stepstone-fabric -q
 
 # The merge gate for perf-relevant changes: build, test, lint, docs,
-# equivalence matrix, and validate BENCH_sim.json on the committed shape.
-ci: build test clippy doc matrix bench-smoke
+# equivalence matrix, the repository benchmark's build and checks, and
+# validate BENCH_sim.json on the committed shape.
+ci: build test clippy doc matrix perfbench bench-smoke
 	@echo "ci: all gates green"
+
+# The repository benchmark (perfbench/, a package and workspace of its own
+# that nothing else compiles): run its tests, then run every workload for
+# one second and fail unless its last output line reports zero failed ops.
+# Catches simulator API changes that break the benchmark build.
+PERFBENCH_WORKLOADS = paper_gemm table1_exact serving_analytic paged_ring_gemm
+perfbench:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  last=$$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+	    --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "perfbench $$w: $$last"; \
+	  echo "$$last" | python3 -c 'import json,sys; sys.exit(json.load(sys.stdin).get("failed") != 0)' \
+	    || { echo "perfbench: $$w did not report \"failed\": 0"; exit 1; }; \
+	done
 
 # Build release and run the simulator hot-path bench at the *paper scale*
 # (the shape the committed BENCH_sim.json records; ~11 s) in a scratch

@@ -229,6 +229,13 @@ impl VecSpace {
         self.basis.len()
     }
 
+    /// The reduced echelon basis. It is also the coordinate basis:
+    /// `coords(basis()[i]) == Some(1 << i)`, so XORing the basis vectors
+    /// selected by a coordinate word rebuilds the member it names.
+    pub fn basis(&self) -> &[u64] {
+        &self.basis
+    }
+
     pub fn contains(&self, mut v: u64) -> bool {
         for &b in &self.basis {
             if v & (b & b.wrapping_neg()) != 0 {
@@ -292,6 +299,15 @@ mod tests {
         assert!(in_span(&basis, 0b0110)); // sum of both
         assert!(in_span(&basis, 0));
         assert!(!in_span(&basis, 0b1000));
+    }
+
+    #[test]
+    fn basis_is_the_coordinate_basis() {
+        let s = VecSpace::from_span(&[0b1100, 0b0110, 0b1010, 0b0011, 0b1001]);
+        assert_eq!(s.basis().len(), s.dim());
+        for (i, &b) in s.basis().iter().enumerate() {
+            assert_eq!(s.coords(b), Some(1 << i));
+        }
     }
 
     #[test]

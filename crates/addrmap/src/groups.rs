@@ -206,31 +206,16 @@ impl GroupAnalysis {
             .expect("row parity vector lies in the row space by construction") as usize
     }
 
-    /// Raw row-parity vector of a dense group index.
+    /// Raw row-parity vector of a dense group index: the inverse of
+    /// [`GroupAnalysis::group_of_row`]'s coordinates, O(rank_row).
     pub fn group_vec(&self, group: usize) -> u32 {
         let mut v = 0u64;
-        for (i, &b) in self.row_space_basis().iter().enumerate() {
+        for (i, &b) in self.row_space.basis().iter().enumerate() {
             if group >> i & 1 == 1 {
                 v ^= b;
             }
         }
         v as u32
-    }
-
-    fn row_space_basis(&self) -> Vec<u64> {
-        // Reconstruct via enumerate(): VecSpace keeps a stable basis. To keep
-        // the coupling explicit we re-derive basis vectors from coords: basis
-        // vector i is the member whose coords are exactly bit i.
-        let all = self.row_space.enumerate();
-        let mut basis = vec![0u64; self.row_space.dim()];
-        for v in all {
-            if let Some(c) = self.row_space.coords(v) {
-                if c.count_ones() == 1 {
-                    basis[c.trailing_zeros() as usize] = v;
-                }
-            }
-        }
-        basis
     }
 
     /// The PIM ID owning block `(row r, block column kblk)`.
@@ -502,6 +487,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The enumerate-and-`coords` derivation `group_vec` used before
+    /// `VecSpace::basis` existed: basis vector `i` is the row-space member
+    /// whose coordinates are exactly bit `i`.
+    fn group_vec_by_enumeration(ga: &GroupAnalysis, group: usize) -> u32 {
+        let mut basis = vec![0u64; ga.row_space.dim()];
+        for v in ga.row_space.enumerate() {
+            let c = ga.row_space.coords(v).unwrap();
+            if c.count_ones() == 1 {
+                basis[c.trailing_zeros() as usize] = v;
+            }
+        }
+        let mut v = 0u64;
+        for (i, &b) in basis.iter().enumerate() {
+            if group >> i & 1 == 1 {
+                v ^= b;
+            }
+        }
+        v as u32
+    }
+
+    #[test]
+    fn group_vec_matches_enumeration_oracle_and_inverts_group_of_row() {
+        let layouts = [
+            MatrixLayout::new_f32(0, 16, 512),
+            MatrixLayout::new_f32(0, 1024, 4096),
+            MatrixLayout::new_f32(1 << 26, 128, 8192),
+        ];
+        let mut subset_cases = 0;
+        for id in [MappingId::Skylake, MappingId::Haswell] {
+            let m = mapping_by_id(id);
+            for level in PimLevel::ALL {
+                for &layout in &layouts {
+                    let mut gas = vec![GroupAnalysis::analyze(&m, level, layout)];
+                    if level.id_masks(&m).len() > 1 {
+                        gas.push(GroupAnalysis::analyze_subset(&m, level, layout, 1));
+                        subset_cases += 1;
+                    }
+                    for ga in gas {
+                        let vecs: Vec<u32> = (0..ga.n_groups()).map(|g| ga.group_vec(g)).collect();
+                        for (g, &v) in vecs.iter().enumerate() {
+                            assert_eq!(v, group_vec_by_enumeration(&ga, g), "{id:?} {level:?} g{g}");
+                        }
+                        for r in 0..ga.layout.rows {
+                            let g = ga.group_of_row(r);
+                            let rv = ga.row_parity_vec(r);
+                            for (h, &v) in vecs.iter().enumerate() {
+                                assert_eq!(h == g, v == rv, "{id:?} {level:?} row {r} group {h}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(subset_cases > 0, "no analyze_subset case exercised");
     }
 
     #[test]

@@ -112,15 +112,6 @@ pub(crate) fn execute_pow2_gemm(
     stats.writes += loc_blocks;
     stats.writes_by_port[Port::Channel.index()] += loc_blocks;
 
-    // Rows of each (group, rpart) cell — matrix rows, each owning
-    // `cols_here` A blocks per admissible PIM.
-    let rparts = ctx.plan.rparts as usize;
-    let rows_per_rpart = ctx.layout.rows / rparts;
-    let mut rows_by_rpart_group = vec![vec![0u64; ctx.ga.n_groups()]; rparts];
-    for r in 0..ctx.layout.rows {
-        rows_by_rpart_group[(r / rows_per_rpart).min(rparts - 1)][ctx.ga.group_of_row(r)] += 1;
-    }
-
     // Phase 2: the kernel, per PIM; PIMs run in parallel on disjoint bank
     // partitions, so the phase ends at the slowest PIM.
     let d_gemm = cas.max(opts.level_cfg.compute_cycles_per_block(n));
@@ -167,7 +158,7 @@ pub(crate) fn execute_pow2_gemm(
         let mut cy = [0u64; 8]; // per-category cycles, this PIM
         let mut total = 0u64;
         #[allow(clippy::needless_range_loop)] // rp also indexes c_blocks_by_rpart
-        for rp in 0..rparts {
+        for rp in 0..ctx.plan.rparts as usize {
             // Launch: one per rpart (coarse kernels) or one per matrix row
             // (eCHO per-dot-product kernels, counted in the cell loop).
             if !echo {
@@ -192,15 +183,16 @@ pub(crate) fn execute_pow2_gemm(
                 // A blocks of this cell: the cell's column blocks across
                 // its admissible matrix rows in this rpart. Each span is a
                 // same-row run of `cols_here` blocks.
+                let rows = ctx.rows_by_rpart_group[rp][grp];
                 let cols_here = b_len / n.max(1) as u64;
-                let g_blocks = cols_here * rows_by_rpart_group[rp][grp];
+                let g_blocks = cols_here * rows;
                 let (g_cy, g_rows) =
                     stream_cycles(cfg, g_blocks, compose_run(cols_here.max(1) as f64), d_gemm);
                 let g_cy = g_cy + ptw_extra(g_blocks);
                 activity.agen_iterations += ptw_extra(fb) + ptw_extra(g_blocks);
                 let launch_cy = if echo {
-                    activity.launches += rows_by_rpart_group[rp][grp];
-                    rows_by_rpart_group[rp][grp] * sys.launch.launch_latency
+                    activity.launches += rows;
+                    rows * sys.launch.launch_latency
                 } else {
                     0
                 };

@@ -252,6 +252,8 @@ pub struct GemmContext {
     pub c_regions: Vec<RegionPlan>,
     /// Per-PIM, per-row-partition resident `C` blocks.
     pub c_blocks_by_rpart: Vec<Vec<u64>>,
+    /// Matrix rows per (rpart, group) cell: `[rpart][group]`.
+    pub rows_by_rpart_group: Vec<Vec<u64>>,
     /// Per-PIM, per (group visit index, cpart): `B` slice length in blocks.
     pub b_slice_lens: Vec<Vec<u64>>,
     /// Direct-scratchpad optimization active (small matrices, §III-E).
@@ -287,14 +289,27 @@ impl GemmContext {
         let active_pims = ga.active_pims();
         let n = spec.n;
 
-        // Group visit order and per-(group, cpart) B slice lengths.
+        // Matrix rows per (rpart, group) cell, one pass over the rows.
+        // `rparts` divides the power-of-two row count: the buffer planner
+        // never splits past one resident C row per partition, so
+        // `rparts <= c_rows_per_pim <= rows`.
+        let rparts = plan.rparts as usize;
+        let rows_per_rpart = layout.rows / rparts;
+        let mut rows_by_rpart_group = vec![vec![0u64; ga.n_groups()]; rparts];
+        for r in 0..layout.rows {
+            rows_by_rpart_group[r / rows_per_rpart][ga.group_of_row(r)] += 1;
+        }
+
+        // Per PIM, over its admissible groups in visit order: the
+        // per-(group, cpart) B slice lengths, and the resident C rows of
+        // each rpart → blocks.
         let mut b_slice_lens = Vec::with_capacity(active_pims.len());
+        let mut c_blocks_by_rpart = Vec::with_capacity(active_pims.len());
         for &pim in &active_pims {
-            let mut lens = Vec::new();
-            for g in 0..ga.n_groups() {
-                if !ga.is_admissible(pim, g) {
-                    continue;
-                }
+            let groups: Vec<usize> =
+                (0..ga.n_groups()).filter(|&g| ga.is_admissible(pim, g)).collect();
+            let mut lens = Vec::with_capacity(groups.len() * plan.cparts as usize);
+            for &g in &groups {
                 let cols = ga.local_cols(pim, g);
                 for cpart in 0..plan.cparts as u64 {
                     let cols_here = cols_in_cpart(&cols, ga.layout.blocks_per_row(), plan.cparts, cpart);
@@ -303,21 +318,13 @@ impl GemmContext {
                 }
             }
             b_slice_lens.push(lens);
-        }
-
-        // Per (PIM, rpart) resident C rows → blocks.
-        let group_of_row: Vec<u16> =
-            (0..layout.rows).map(|r| ga.group_of_row(r) as u16).collect();
-        let rows_per_rpart = layout.rows / plan.rparts as usize;
-        let mut c_blocks_by_rpart = Vec::with_capacity(active_pims.len());
-        for &pim in &active_pims {
-            let mut per = Vec::with_capacity(plan.rparts as usize);
-            for rp in 0..plan.rparts as usize {
-                let rows = (rp * rows_per_rpart..(rp + 1) * rows_per_rpart)
-                    .filter(|&r| ga.is_admissible(pim, group_of_row[r] as usize))
-                    .count() as u64;
-                per.push((rows * n as u64 * 4).div_ceil(64));
-            }
+            let per: Vec<u64> = rows_by_rpart_group
+                .iter()
+                .map(|hist| {
+                    let rows: u64 = groups.iter().map(|&g| hist[g]).sum();
+                    (rows * n as u64 * 4).div_ceil(64)
+                })
+                .collect();
             c_blocks_by_rpart.push(per);
         }
 
@@ -378,6 +385,7 @@ impl GemmContext {
             b_regions,
             c_regions,
             c_blocks_by_rpart,
+            rows_by_rpart_group,
             b_slice_lens,
             direct_scratchpad,
             b_key_runs,

@@ -108,3 +108,68 @@ fn phase_breakdown_matches_figure_semantics() {
         r.total >= r.phase(Phase::Localization) + r.phase(Phase::Gemm) + r.phase(Phase::Reduction)
     );
 }
+
+/// Every power-of-two sub-GEMM of the 18 serving classes (DLRM batches
+/// 1..=256, BERT 1..=4, GPT2 1..=32, each doubling), deduplicated.
+fn table1_pow2_subshapes() -> Vec<GemmSpec> {
+    use stepstone_models::{bert, dlrm, gpt2, Op};
+    let mut graphs = Vec::new();
+    for (model, max_batch) in [(dlrm as fn(usize) -> _, 256), (bert, 4), (gpt2, 32)] {
+        graphs.extend((0..).map(|i| 1usize << i).take_while(|&b| b <= max_batch).map(model));
+    }
+    assert_eq!(graphs.len(), 18);
+    let mut shapes: Vec<(usize, usize, usize)> = graphs
+        .iter()
+        .flat_map(|g| &g.ops)
+        .filter_map(|op| match op {
+            Op::Gemm(spec) => Some(spec.decompose_pow2()),
+            _ => None,
+        })
+        .flatten()
+        .map(|s| (s.m, s.k, s.n))
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    shapes.into_iter().map(|(m, k, n)| GemmSpec::new(m, k, n)).collect()
+}
+
+/// `GemmContext::build`'s one-pass row histogram and per-PIM resident `C`
+/// blocks equal a brute-force per-(PIM, row) admissibility scan.
+#[test]
+fn context_row_histogram_matches_per_pim_row_scan() {
+    use stepstone_core::flow::GemmContext;
+    let sys = SystemConfig::default();
+    let shapes = table1_pow2_subshapes();
+    let mut multi_rpart = 0;
+    for level in PimLevel::ALL {
+        let opts = SimOptions::stepstone(level);
+        for spec in &shapes {
+            let ctx = GemmContext::build(&sys, spec, &opts);
+            let ga = &ctx.ga;
+            let rparts = ctx.plan.rparts as usize;
+            let rows_per_rpart = ctx.layout.rows / rparts;
+            let rpart_rows = |rp: usize| rp * rows_per_rpart..(rp + 1) * rows_per_rpart;
+            let hist: Vec<Vec<u64>> = (0..rparts)
+                .map(|rp| {
+                    (0..ga.n_groups())
+                        .map(|g| rpart_rows(rp).filter(|&r| ga.group_of_row(r) == g).count() as u64)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(ctx.rows_by_rpart_group, hist, "{spec:?} {level:?}");
+            for (pix, &pim) in ctx.active_pims.iter().enumerate() {
+                let c_blocks: Vec<u64> = (0..rparts)
+                    .map(|rp| {
+                        let rows = rpart_rows(rp)
+                            .filter(|&r| ga.is_admissible(pim, ga.group_of_row(r)))
+                            .count() as u64;
+                        (rows * spec.n as u64 * 4).div_ceil(64)
+                    })
+                    .collect();
+                assert_eq!(ctx.c_blocks_by_rpart[pix], c_blocks, "{spec:?} {level:?} pim {pim}");
+            }
+            multi_rpart += usize::from(rparts > 1);
+        }
+    }
+    assert!(multi_rpart > 0, "no case splits the rows into partitions");
+}

@@ -18,7 +18,13 @@ doc:
 matrix:
     make matrix
 
-# Build + test + clippy + doc + matrix + bench-smoke (the merge gate).
+# Repository benchmark: its tests, then every workload for one second,
+# failing unless each reports zero failed ops.
+perfbench:
+    make perfbench
+
+# Build + test + clippy + doc + matrix + perfbench + bench-smoke (the
+# merge gate).
 ci:
     make ci
 

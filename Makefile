@@ -58,9 +58,11 @@ perfbench:
 # exact-match against the committed file; the streaming-serial
 # ns_per_block gets a wall-clock regression ceiling (35% over committed,
 # floored at the 30 ns/block paper target, for host noise), and the
-# parallel-vs-serial speedup is only gated when more than one CPU is
-# available (on a 1-CPU host the sharded engine ties serial, modulo
-# noise). Backend tiers (PR 7): the exact tier's sim_cycles must stay
+# parallel-vs-serial speedups (paper scale and sub-paper 512x512 N=32,
+# each the median of 5 interleaved serial/parallel pairs) must be >= 0.9x
+# when more than one CPU is available (on a 2-vCPU VM they measure
+# ~1.6-1.8x and ~1.3x; a 1-CPU host runs the shards one after another).
+# Backend tiers: the exact tier's sim_cycles must stay
 # bit-identical to the committed value, the analytic tier's (deterministic)
 # cycles must exact-match and its wall-clock speedup over exact must meet
 # the committed floor, and the DRAM preset smoke must reproduce every
@@ -197,8 +199,11 @@ assert ploc[-1]>0.999, '1 GiB pages must preserve native run locality: %r' % plo
 par_ok='skipped (1 cpu)' if d['config']['threads']<2 else '%.2fx' % d['speedup_parallel_vs_serial']; \
 assert d['config']['threads']<2 or d['speedup_parallel_vs_serial']>=0.9, \
 'parallel engine slower than serial: %.2fx' % d['speedup_parallel_vs_serial']; \
-print('bench-smoke: ok (seed %.2fx >= floor %.2fx, parallel %s, region drop %.0fx, agen %.1f ns/span at %.3f of seed <= %.3f, %d live boundaries / %d jumps, %d runs mean %.1f blocks, %.1f ns/block <= %.1f, analytic %.0fx >= %.0fx, %d presets, serving knee@%d warm %.1fx >= %.1fx, fabric %d nodes ring +%d cycles peak %.1f GB/s, paging identity==baseline, 4KB locality %.2f -> 1GB %.2f)' \
-% (d['speedup_streaming_vs_seed'], floor, par_ok, ra['drop'], sp['agen_ns_per_span'], share, 1.75*cshare, ac['boundary_successors'], ac['window_jumps'], rc['runs'], rc['mean_run_len'], ss['ns_per_block'], ceil, bk['analytic']['speedup_vs_exact'], bk['speedup_floor'], len(bk['presets']), sv['knee_index'], wc['speedup'], wc['speedup_floor'], fb['nodes'], ft['ring']['fabric_cycles'], ft['ring']['peak_link_gbps'], ploc[0], ploc[-1]))"
+sp_par_ok='skipped (1 cpu)' if d['config']['threads']<2 else '%.2fx' % sp['speedup_parallel_vs_serial']; \
+assert d['config']['threads']<2 or sp['speedup_parallel_vs_serial']>=0.9, \
+'sub-paper parallel engine slower than serial: %.2fx' % sp['speedup_parallel_vs_serial']; \
+print('bench-smoke: ok (seed %.2fx >= floor %.2fx, parallel %s, sub-paper parallel %s, region drop %.0fx, agen %.1f ns/span at %.3f of seed <= %.3f, %d live boundaries / %d jumps, %d runs mean %.1f blocks, %.1f ns/block <= %.1f, analytic %.0fx >= %.0fx, %d presets, serving knee@%d warm %.1fx >= %.1fx, fabric %d nodes ring +%d cycles peak %.1f GB/s, paging identity==baseline, 4KB locality %.2f -> 1GB %.2f)' \
+% (d['speedup_streaming_vs_seed'], floor, par_ok, sp_par_ok, ra['drop'], sp['agen_ns_per_span'], share, 1.75*cshare, ac['boundary_successors'], ac['window_jumps'], rc['runs'], rc['mean_run_len'], ss['ns_per_block'], ceil, bk['analytic']['speedup_vs_exact'], bk['speedup_floor'], len(bk['presets']), sv['knee_index'], wc['speedup'], wc['speedup_floor'], fb['nodes'], ft['ring']['fabric_cycles'], ft['ring']['peak_link_gbps'], ploc[0], ploc[-1]))"
 
 # The paper-scale evidence run (4096x4096 N=256 at StepStone-BG).
 bench-paper:

@@ -14,11 +14,14 @@
 //!   "region_addrs": {"materialized":…, "resident":…, "drop":…},
 //!   "speedup_streaming_vs_seed": …,
 //!   "speedup_parallel_vs_serial": …,
+//!   "speedup_parallel_vs_serial_range": [min, max],
 //!   "subpaper": {"m":…, "k":…, "n":…, "cold_ns_per_block":…,
 //!                "warm_ns_per_block":…, "seed_ns_per_block":…,
 //!                "speedup_warm_vs_seed":…, "agen_ns_per_span":…,
 //!                "span_cache_hits":…, "span_cache_misses":…,
 //!                "boundary_successors":…, "window_jumps":…,
+//!                "speedup_parallel_vs_serial":…,
+//!                "speedup_parallel_vs_serial_range": [min, max],
 //!                "cycle_exact": true},
 //!   "agen_counters": {"live_spans":…, "replayed_spans":…,
 //!                     "window_jumps":…, "boundary_successors":…,
@@ -76,6 +79,13 @@
 //! the `subpaper` section its warm-run equivalent — both deterministic,
 //! both checked for serial/parallel agreement here and exact-match gated
 //! by `make bench-smoke`.
+//!
+//! `speedup_parallel_vs_serial` (paper scale, and the same field under
+//! `subpaper`) is the serial/parallel wall-clock ratio of the streaming
+//! engine: the median over [`RATIO_PAIRS`] interleaved serial/parallel
+//! pairs, with the side that runs first alternating, and the min–max of
+//! the pairs beside it. One sample per side read anywhere from 0.94× to
+//! 1.32× for the same build on a 2-vCPU VM.
 //!
 //! Usage: `bench_sim [--quick] [M K N]`. `--quick` (or
 //! `STEPSTONE_SCALE=quick`) runs a reduced shape for smoke tests.
@@ -276,9 +286,13 @@ fn main() {
     });
     assert!(cycle_exact, "execution modes disagree on simulated cycles/blocks");
     let speedup = runs[2].wall_ns as f64 / runs[0].wall_ns as f64;
-    let par_speedup = runs[1].wall_ns as f64 / runs[0].wall_ns as f64;
+    let par = parallel_vs_serial(&sys, &serial_sys, &spec, &opts);
     println!("  speedup streaming vs seed path: {speedup:.2}x (cycle-exact: {cycle_exact})");
-    println!("  speedup parallel vs serial engine: {par_speedup:.2}x ({threads} threads)");
+    println!(
+        "  speedup parallel vs serial engine: {:.2}x median of {RATIO_PAIRS} pairs \
+         (min {:.2}x, max {:.2}x; {threads} threads)",
+        par.median, par.min, par.max,
+    );
 
     let mut json = String::from("{\n  \"bench\": \"sim_hot_path\",\n");
     let _ = writeln!(
@@ -309,7 +323,12 @@ fn main() {
          \"resident\": {region_addrs_resident}, \"drop\": {region_drop:.1}}},"
     );
     let _ = writeln!(json, "  \"speedup_streaming_vs_seed\": {speedup:.3},");
-    let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {par_speedup:.3},");
+    let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {:.3},", par.median);
+    let _ = writeln!(
+        json,
+        "  \"speedup_parallel_vs_serial_range\": [{:.3}, {:.3}],",
+        par.min, par.max
+    );
     let _ = writeln!(
         json,
         "  \"subpaper\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"level\": \"BG\", \
@@ -318,7 +337,8 @@ fn main() {
          \"agen_ns_per_span\": {:.2}, \"cache_resident_spans\": {}, \
          \"span_cache_hits\": {}, \"span_cache_misses\": {}, \
          \"boundary_successors\": {}, \"window_jumps\": {}, \
-         \"run_counters\": {}, \"cycle_exact\": {}}},",
+         \"run_counters\": {}, \"speedup_parallel_vs_serial\": {:.3}, \
+         \"speedup_parallel_vs_serial_range\": [{:.3}, {:.3}], \"cycle_exact\": {}}},",
         sp.m,
         sp.k,
         sp.n,
@@ -333,6 +353,9 @@ fn main() {
         sp.agen.boundary_successors,
         sp.agen.window_jumps,
         run_counters_json(&sp.run_counters),
+        sp.parallel.median,
+        sp.parallel.min,
+        sp.parallel.max,
         sp.cycle_exact,
     );
     let _ = writeln!(
@@ -928,6 +951,7 @@ struct SubPaper {
     /// Run-granularity counters of the warm streaming run (deterministic,
     /// exact-match gated like the agen counters).
     run_counters: RunCounters,
+    parallel: ParallelRatio,
     cycle_exact: bool,
 }
 
@@ -1018,6 +1042,12 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
         rc.mean_run_len(),
         fallback_summary(&rc),
     );
+    let parallel = parallel_vs_serial(sys, serial_sys, &spec, &opts);
+    println!(
+        "  sub-paper parallel vs serial engine: {:.2}x median of {RATIO_PAIRS} pairs \
+         (min {:.2}x, max {:.2}x)",
+        parallel.median, parallel.min, parallel.max,
+    );
     SubPaper {
         m,
         k,
@@ -1029,6 +1059,60 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
         cache_resident_spans,
         agen,
         run_counters: rc,
+        parallel,
         cycle_exact,
     }
+}
+
+/// Interleaved serial/parallel pairs behind each `speedup_parallel_vs_serial`.
+const RATIO_PAIRS: usize = 5;
+
+/// Shortest side of a pair: shapes that simulate faster repeat back to
+/// back until one side lasts this long, so a few milliseconds of
+/// scheduler latency on a shared host cannot decide a pair.
+const RATIO_MIN_SIDE_NS: f64 = 200e6;
+
+/// Serial/parallel wall-clock ratio of the streaming engine over
+/// [`RATIO_PAIRS`] pairs.
+struct ParallelRatio {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Time [`RATIO_PAIRS`] serial/parallel pairs of one streaming simulation,
+/// alternating which side runs first so drift in host load and cache
+/// warmth falls on both sides, and summarize the per-pair ratios. Every
+/// run must agree on simulated cycles.
+fn parallel_vs_serial(
+    sys: &SystemConfig,
+    serial_sys: &SystemConfig,
+    spec: &GemmSpec,
+    opts: &SimOptions,
+) -> ParallelRatio {
+    let timed = |sys: &SystemConfig, reps: usize| {
+        let t0 = Instant::now();
+        let cycles: Vec<u64> = (0..reps)
+            .map(|_| simulate_pow2_gemm_exec(sys, spec, opts, None, ExecMode::Streaming).total)
+            .collect();
+        assert!(cycles.windows(2).all(|w| w[0] == w[1]), "repeated simulations diverged");
+        (t0.elapsed().as_nanos() as f64, cycles[0])
+    };
+    let (once_ns, _) = timed(serial_sys, 1);
+    let reps = (RATIO_MIN_SIDE_NS / once_ns).ceil().max(1.0) as usize;
+    let mut ratios: Vec<f64> = (0..RATIO_PAIRS)
+        .map(|pair| {
+            let ((serial_ns, serial_cycles), (par_ns, par_cycles)) = if pair % 2 == 0 {
+                let s = timed(serial_sys, reps);
+                (s, timed(sys, reps))
+            } else {
+                let p = timed(sys, reps);
+                (timed(serial_sys, reps), p)
+            };
+            assert_eq!(serial_cycles, par_cycles, "parallel engine diverged from serial");
+            serial_ns / par_ns
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ParallelRatio { median: ratios[RATIO_PAIRS / 2], min: ratios[0], max: ratios[RATIO_PAIRS - 1] }
 }

@@ -282,6 +282,14 @@ struct WinEntry {
 /// (AGEN walks, region interleaves) instead of a pre-materialized `Vec`,
 /// so resident step storage is O(reorder window) per unit regardless of
 /// matrix size.
+///
+/// Aligned to 128 bytes so no two cursors share a cache line: a phase's
+/// units alternate channels (`GemmContext::active_pims` goes 0,1,0,1… at
+/// bank-group and device level), so under [`run_phase_auto`] neighbouring
+/// elements of the `Vec<UnitCursor>` are written every block by different
+/// shard threads. 128 rather than 64 because adjacent-line prefetch pulls
+/// 64-byte lines in pairs.
+#[repr(align(128))]
 pub struct UnitCursor<'a> {
     pub label: &'static str,
     /// Channel this unit's control packets ride on.
@@ -367,6 +375,9 @@ pub struct UnitCursor<'a> {
     pub agen_iter_max: u32,
     pub agen_bubbles: u64,
 }
+
+// Shard threads of one phase must never write the same cache-line pair.
+const _: () = assert!(std::mem::align_of::<UnitCursor<'static>>() == 128);
 
 impl<'a> UnitCursor<'a> {
     #[allow(clippy::too_many_arguments)]

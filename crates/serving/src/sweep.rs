@@ -159,8 +159,8 @@ pub fn sweep_loads(
 }
 
 /// [`sweep_loads`] with an explicit worker count. Load points are claimed
-/// from a shared index counter by `threads` workers, so any worker may run
-/// any point — the per-point re-seeding is what guarantees two same-seed
+/// from a shared index counter by `threads` workers (the calling thread is
+/// one of them), so any worker may run any point — the per-point re-seeding is what guarantees two same-seed
 /// sweeps produce identical `ServingReport`s whatever the thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_loads_with_threads(
@@ -183,17 +183,19 @@ pub fn sweep_loads_with_threads(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ServingReport>>> =
         (0..mean_gaps.len()).map(|_| Mutex::new(None)).collect();
-    rayon::scope(|s| {
-        for _ in 0..threads {
-            let (next, slots, run_point) = (&next, &slots, &run_point);
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= slots.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run_point(i));
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        if i >= slots.len() {
+            break;
         }
+        *slots[i].lock().unwrap() = Some(run_point(i));
+    };
+    // `threads − 1` spawned workers plus the calling thread.
+    rayon::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(move |_| work());
+        }
+        work();
     });
     slots.into_iter().map(|m| m.into_inner().unwrap().expect("point ran")).collect()
 }

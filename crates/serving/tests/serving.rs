@@ -1,6 +1,6 @@
 //! Serving-layer acceptance tests: seeded determinism, serial==parallel
-//! sweeps, batching-queue invariants over real cost tables, and the
-//! warm-vs-cold session-cache differential.
+//! sweeps and pass costs, batching-queue invariants over real cost tables,
+//! and the warm-vs-cold session-cache differential.
 //!
 //! Sweep-shaped tests run on the analytic memory backend so the suite
 //! stays fast in debug builds, and they share one precomputed cost table
@@ -106,6 +106,24 @@ fn warm_session_is_exact_on_the_exact_backend_too() {
     let builds = warm.executor().session().misses();
     assert_eq!(warm.cost(RequestKind::Dlrm, 4), w);
     assert_eq!(warm.executor().session().misses(), builds);
+}
+
+#[test]
+fn session_pass_costs_are_identical_with_and_without_channel_sharding() {
+    // Model-level serial == parallel on the exact tier: every GEMM of a
+    // pass (kernel phases, fills, drains, reductions) through the
+    // per-channel sharded engine must price bit-identically to the serial
+    // engine. A sampled set of Table-I classes keeps debug builds quick.
+    let sharded = SystemConfig::default();
+    assert!(sharded.parallel);
+    let serial = SystemConfig { parallel: false, ..sharded.clone() };
+    let mut par = SessionCoster::new(sharded);
+    let mut ser = SessionCoster::new(serial);
+    for (kind, class) in [(RequestKind::Dlrm, 1), (RequestKind::Dlrm, 8), (RequestKind::Bert, 1)] {
+        let (p, s) = (par.cost(kind, class), ser.cost(kind, class));
+        assert!(p.pim_gemms > 0, "{kind:?} class {class} ran no PIM GEMM");
+        assert_eq!(p, s, "{kind:?} class {class}: sharded pass cost differs from serial");
+    }
 }
 
 #[test]

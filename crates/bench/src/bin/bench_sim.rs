@@ -2,90 +2,12 @@
 //! without per-channel parallel sharding) vs the seed's
 //! materialize-then-replay path, on a paper-scale GEMM.
 //!
-//! Emits `BENCH_sim.json` (in the working directory) so the perf
-//! trajectory of the simulation hot path is tracked from PR to PR:
-//!
-//! ```json
-//! {
-//!   "bench": "sim_hot_path",
-//!   "config": {"m":…, "k":…, "n":…, "level":"BG", "pims":…, "threads":…},
-//!   "runs": [{"mode":…, "wall_ns":…, "blocks":…, "ns_per_block":…,
-//!             "sim_cycles":…, "peak_resident_steps":…}, …],
-//!   "region_addrs": {"materialized":…, "resident":…, "drop":…},
-//!   "speedup_streaming_vs_seed": …,
-//!   "speedup_parallel_vs_serial": …,
-//!   "speedup_parallel_vs_serial_range": [min, max],
-//!   "subpaper": {"m":…, "k":…, "n":…, "cold_ns_per_block":…,
-//!                "warm_ns_per_block":…, "seed_ns_per_block":…,
-//!                "speedup_warm_vs_seed":…, "agen_ns_per_span":…,
-//!                "span_cache_hits":…, "span_cache_misses":…,
-//!                "boundary_successors":…, "window_jumps":…,
-//!                "speedup_parallel_vs_serial":…,
-//!                "speedup_parallel_vs_serial_range": [min, max],
-//!                "cycle_exact": true},
-//!   "agen_counters": {"live_spans":…, "replayed_spans":…,
-//!                     "window_jumps":…, "boundary_successors":…,
-//!                     "skeleton_hits":…, "skeleton_misses":…},
-//!   "run_counters": {"runs":…, "run_blocks":…, "mean_run_len":…,
-//!                    "hist": […], "fallback": {"refresh":…, "row":…,
-//!                    "trace":…, "traffic":…, "other":…}},
-//!   "backends": {"exact": {"wall_ns":…, "sim_cycles":…},
-//!                "analytic": {"wall_ns":…, "sim_cycles":…,
-//!                             "cycles_ratio_vs_exact":…, "speedup_vs_exact":…},
-//!                "speedup_floor": 20.0,
-//!                "presets": [{"name":…, "sim_cycles":…, "clock_hz":…,
-//!                             "seconds":…}, …]},
-//!   "serving": {"requests": 1000, "mix": {…}, "queue_cap":…,
-//!               "max_batch_requests":…, "cost_table_entries":…,
-//!               "sweep": [{"mean_gap_cycles":…, "p50":…, "p95":…, "p99":…,
-//!                          "served":…, "rejected":…, "batches":…,
-//!                          "pim_batches":…, "mean_queue_depth":…,
-//!                          "channel_utilization":…}, …],
-//!               "knee_index":…, "knee_factor": 3.0,
-//!               "serial_equals_parallel": true,
-//!               "warm_vs_cold": {"requests":…, "warm_wall_ns":…,
-//!                                "cold_wall_ns":…, "speedup":…,
-//!                                "speedup_floor": 1.2, "cycle_exact": true,
-//!                                "session_contexts":…, "session_hits":…,
-//!                                "session_misses":…}},
-//!   "fabric": {"nodes":…, "link_bytes_per_cycle":…, "link_latency":…,
-//!              "host_dma": {"total_cycles":…, "reduce_cycles":…},
-//!              "topologies": [{"topology": "ring", "total_cycles":…,
-//!                              "reduce_cycles":…, "fabric_cycles":…,
-//!                              "bytes_injected":…, "peak_link_gbps":…,
-//!                              "links": [{"src":…, "dst":…, "bytes":…,
-//!                                         "busy_cycles":…, "messages":…,
-//!                                         "peak_demand_bytes":…,
-//!                                         "gbps":…}, …]}, …],
-//!              "dram_identical": true},
-//!   "cycle_exact": true
-//! }
-//! ```
-//!
-//! The `subpaper` section tracks the Table-I serving shapes (batch-scale
-//! GEMMs) where AGEN, not DRAM timing, dominates: `cold` is the first
-//! simulation of the shape (span-program cache empty), `warm` the second —
-//! the steady state of repeated layers — and `agen_ns_per_span` times the
-//! production span generator alone across every Algorithm-1 cell
-//! (best-of-N to damp host noise; regression-gated by `make bench-smoke`).
-//! Span-program *counters* (deterministic, unlike wall time) are recorded
-//! twice: `agen_counters` for the paper-scale streaming-serial run and the
-//! `subpaper` hit/miss/boundary fields for the warm span-generation pass —
-//! `make bench-smoke` gates the paper-scale `boundary_successors` count so
-//! a window-successor or skeleton-cache regression cannot hide in host
-//! noise. Run-granularity counters (PR 6) are recorded the same way:
-//! `run_counters` holds the paper-scale streaming-serial admission stats
-//! (runs, blocks-per-run histogram, per-block fallback splits by cause),
-//! the `subpaper` section its warm-run equivalent — both deterministic,
-//! both checked for serial/parallel agreement here and exact-match gated
-//! by `make bench-smoke`.
-//!
-//! `speedup_parallel_vs_serial` (paper scale, and the same field under
-//! `subpaper`) is the serial/parallel wall-clock ratio of the streaming
-//! engine: the median over [`RATIO_PAIRS`] interleaved serial/parallel
-//! pairs, with the side that runs first alternating, and the min–max of
-//! the pairs beside it. One sample per side read anywhere from 0.94× to
-//! 1.32× for the same build on a 2-vCPU VM.
+//! Writes `BENCH_sim.json` to the working directory: the paper-scale runs
+//! plus the sub-paper, backend-tier, serving, fabric and paging sections,
+//! each built by a `*_section` function below and rendered by
+//! [`stepstone_bench::json`]. What every field means, and which ones
+//! `make bench-smoke` gates, is listed once in `docs/perf.md`
+//! ("BENCH_sim.json").
 //!
 //! Usage: `bench_sim [--quick] [M K N]`. `--quick` (or
 //! `STEPSTONE_SCALE=quick`) runs a reduced shape for smoke tests.
@@ -94,17 +16,18 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{PimLevel, StepStoneAgen};
+use stepstone_bench::json::Json;
+use stepstone_bench::obj;
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
 use stepstone_core::engine::{reset_run_counters, run_counters, RunCounters, FB_LABELS};
 use stepstone_core::flow::build_kernel_program_for;
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, FabricConfig, FabricStats, GemmContext, GemmSpec,
-    LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig, TopologyKind,
+    simulate_pow2_gemm_exec, ExecMode, FabricConfig, GemmContext, GemmSpec, LatencyReport, Phase,
+    ReduceVia, SimOptions, SystemConfig, TopologyKind,
 };
 use stepstone_dram::{BackendKind, DramConfig};
 use stepstone_serving::{
-    build_cost_table, find_knee, run_serving, sweep_loads, ColdCoster, ServingConfig,
-    ServingReport, SessionCoster,
+    build_cost_table, find_knee, run_serving, sweep_loads, ColdCoster, ServingConfig, SessionCoster,
 };
 use stepstone_workloads::{OpenLoopArrivals, RequestMix};
 
@@ -294,246 +217,44 @@ fn main() {
         par.median, par.min, par.max,
     );
 
-    let mut json = String::from("{\n  \"bench\": \"sim_hot_path\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"level\": \"{}\", \
-         \"pims\": {units}, \"threads\": {threads}}},",
-        level.tag()
-    );
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"wall_ns\": {}, \"sim_cycles\": {}, \"blocks\": {}, \
-             \"ns_per_block\": {:.2}, \"peak_resident_steps\": {}}}",
-            r.mode,
-            r.wall_ns,
-            r.sim_cycles,
-            r.blocks,
-            r.wall_ns as f64 / r.blocks as f64,
-            r.peak_resident_steps,
-        );
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"region_addrs\": {{\"materialized\": {region_addrs_materialized}, \
-         \"resident\": {region_addrs_resident}, \"drop\": {region_drop:.1}}},"
-    );
-    let _ = writeln!(json, "  \"speedup_streaming_vs_seed\": {speedup:.3},");
-    let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {:.3},", par.median);
-    let _ = writeln!(
-        json,
-        "  \"speedup_parallel_vs_serial_range\": [{:.3}, {:.3}],",
-        par.min, par.max
-    );
-    let _ = writeln!(
-        json,
-        "  \"subpaper\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"level\": \"BG\", \
-         \"cold_ns_per_block\": {:.2}, \"warm_ns_per_block\": {:.2}, \
-         \"seed_ns_per_block\": {:.2}, \"speedup_warm_vs_seed\": {:.3}, \
-         \"agen_ns_per_span\": {:.2}, \"cache_resident_spans\": {}, \
-         \"span_cache_hits\": {}, \"span_cache_misses\": {}, \
-         \"boundary_successors\": {}, \"window_jumps\": {}, \
-         \"run_counters\": {}, \"speedup_parallel_vs_serial\": {:.3}, \
-         \"speedup_parallel_vs_serial_range\": [{:.3}, {:.3}], \"cycle_exact\": {}}},",
-        sp.m,
-        sp.k,
-        sp.n,
-        sp.cold_ns_per_block,
-        sp.warm_ns_per_block,
-        sp.seed_ns_per_block,
-        sp.seed_ns_per_block / sp.warm_ns_per_block,
-        sp.agen_ns_per_span,
-        sp.cache_resident_spans,
-        sp.agen.skeleton_hits,
-        sp.agen.skeleton_misses,
-        sp.agen.boundary_successors,
-        sp.agen.window_jumps,
-        run_counters_json(&sp.run_counters),
-        sp.parallel.median,
-        sp.parallel.min,
-        sp.parallel.max,
-        sp.cycle_exact,
-    );
-    let _ = writeln!(
-        json,
-        "  \"agen_counters\": {{\"live_spans\": {}, \"replayed_spans\": {}, \
-         \"window_jumps\": {}, \"boundary_successors\": {}, \
-         \"skeleton_hits\": {}, \"skeleton_misses\": {}}},",
-        agen_paper.live_spans,
-        agen_paper.replayed_spans,
-        agen_paper.window_jumps,
-        agen_paper.boundary_successors,
-        agen_paper.skeleton_hits,
-        agen_paper.skeleton_misses,
-    );
-    let _ = writeln!(json, "  \"run_counters\": {},", run_counters_json(&rc_paper));
-    json.push_str("  \"backends\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"exact\": {{\"wall_ns\": {}, \"sim_cycles\": {}}},",
-        runs[0].wall_ns, runs[0].sim_cycles,
-    );
-    let _ = writeln!(
-        json,
-        "    \"analytic\": {{\"wall_ns\": {}, \"sim_cycles\": {}, \
-         \"cycles_ratio_vs_exact\": {:.4}, \"speedup_vs_exact\": {:.1}}},",
-        bk.analytic_wall_ns, bk.analytic_cycles, bk.cycles_ratio, bk.speedup,
-    );
-    let _ = writeln!(json, "    \"speedup_floor\": {:.1},", ANALYTIC_SPEEDUP_FLOOR);
-    json.push_str("    \"presets\": [\n");
-    for (i, p) in bk.presets.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"name\": \"{}\", \"sim_cycles\": {}, \"clock_hz\": {}, \
-             \"seconds\": {:.6}}}",
-            p.name, p.sim_cycles, p.clock_hz, p.seconds,
-        );
-        json.push_str(if i + 1 < bk.presets.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ]\n  },\n");
-    json.push_str("  \"serving\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"requests\": {}, \"mix\": {{\"dlrm\": {:.2}, \"bert\": {:.2}, \"gpt2\": {:.2}}},",
-        sv.requests, sv.mix.dlrm, sv.mix.bert, sv.mix.gpt2,
-    );
-    let _ = writeln!(
-        json,
-        "    \"queue_cap\": {}, \"max_batch_requests\": {}, \"cost_table_entries\": {},",
-        sv.cfg.queue_cap, sv.cfg.max_batch_requests, sv.table_entries,
-    );
-    json.push_str("    \"sweep\": [\n");
-    for (i, (r, gap)) in sv.sweep.iter().zip(sv.gaps).enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"mean_gap_cycles\": {gap:.0}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-             \"served\": {}, \"rejected\": {}, \"batches\": {}, \"pim_batches\": {}, \
-             \"mean_queue_depth\": {:.3}, \"channel_utilization\": {:.4}}}",
-            r.p50,
-            r.p95,
-            r.p99,
-            r.served,
-            r.rejected,
-            r.batches,
-            r.pim_batches,
-            r.mean_queue_depth,
-            r.channel_utilization,
-        );
-        json.push_str(if i + 1 < sv.sweep.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"knee_index\": {}, \"knee_factor\": 3.0, \"serial_equals_parallel\": {},",
-        sv.knee, sv.serial_equals_parallel,
-    );
-    let _ = writeln!(
-        json,
-        "    \"warm_vs_cold\": {{\"requests\": {}, \"warm_wall_ns\": {}, \"cold_wall_ns\": {}, \
-         \"speedup\": {:.2}, \"speedup_floor\": {SERVING_WARM_SPEEDUP_FLOOR:.1}, \
-         \"cycle_exact\": true, \"session_contexts\": {}, \"session_hits\": {}, \
-         \"session_misses\": {}}}",
-        sv.diff_requests,
-        sv.warm_wall_ns,
-        sv.cold_wall_ns,
-        sv.warm_speedup,
-        sv.session_contexts,
-        sv.session_hits,
-        sv.session_misses,
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"fabric\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"nodes\": {}, \"link_bytes_per_cycle\": {}, \"link_latency\": {},",
-        fb.nodes, fb.link_bytes_per_cycle, fb.link_latency,
-    );
-    let _ = writeln!(
-        json,
-        "    \"host_dma\": {{\"total_cycles\": {}, \"reduce_cycles\": {}}},",
-        fb.host_total, fb.host_reduce,
-    );
-    json.push_str("    \"topologies\": [\n");
-    for (i, t) in fb.topos.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"topology\": \"{}\", \"total_cycles\": {}, \"reduce_cycles\": {}, \
-             \"fabric_cycles\": {}, \"bytes_injected\": {}, \"peak_link_gbps\": {:.3},",
-            t.stats.topology,
-            t.total_cycles,
-            t.reduce_cycles,
-            t.stats.reduce_fabric_cycles,
-            t.stats.bytes_injected,
-            t.peak_link_gbps,
-        );
-        json.push_str("       \"links\": [\n");
-        for (j, l) in t.stats.links.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"src\": {}, \"dst\": {}, \"bytes\": {}, \"busy_cycles\": {}, \
-                 \"messages\": {}, \"peak_demand_bytes\": {}, \"gbps\": {:.3}}}",
-                l.src,
-                l.dst,
-                l.bytes,
-                l.busy_cycles,
-                l.messages,
-                l.peak_demand_bytes,
-                l.gbps_active(fb.clock_hz),
-            );
-            json.push_str(if j + 1 < t.stats.links.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("       ]}");
-        json.push_str(if i + 1 < fb.topos.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"dram_identical\": true\n");
-    json.push_str("  },\n");
-    json.push_str("  \"paging\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"baseline_sim_cycles\": {}, \"identity\": {{\"page_bytes\": 4096, \
-         \"sim_cycles\": {}, \"bit_identical\": {}}},",
-        runs[0].sim_cycles, pg.identity_sim_cycles, pg.identity_bit_identical,
-    );
-    json.push_str("    \"arms\": [\n");
-    for (i, a) in pg.arms.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"page_bytes\": {}, \"wall_ns\": {}, \"sim_cycles\": {}, \
-             \"ns_per_block\": {:.2}, \"cycles_vs_baseline\": {:.4}, \
-             \"run_counters\": {},",
-            a.page_bytes,
-            a.wall_ns,
-            a.sim_cycles,
-            a.wall_ns as f64 / a.blocks as f64,
-            a.sim_cycles as f64 / runs[0].sim_cycles as f64,
-            run_counters_json(&a.run_counters),
-        );
-        let _ = write!(
-            json,
-            "       \"sampled\": {{\"blocks\": {}, \"runs\": {}, \"mean_run_len\": {:.2}, \
-             \"page_splits\": {}, \"locality_vs_native\": {:.4}}}}}",
-            a.sampled.blocks,
-            a.sampled.runs,
-            a.sampled.mean_run_len(),
-            a.sampled.page_splits,
-            a.sampled.mean_run_len() / pg.native_mean_run_len,
-        );
-        json.push_str(if i + 1 < pg.arms.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"native_sampled_mean_run_len\": {:.2}\n  }},",
-        pg.native_mean_run_len
-    );
-    let _ = writeln!(json, "  \"cycle_exact\": {cycle_exact}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
+    let doc = obj! {
+        "bench": "sim_hot_path",
+        "config": obj! {
+            "m": m, "k": k, "n": n, "level": level.tag(), "pims": units, "threads": threads,
+        },
+        "runs": runs.iter().map(|r| obj! {
+            "mode": r.mode,
+            "wall_ns": r.wall_ns,
+            "sim_cycles": r.sim_cycles,
+            "blocks": r.blocks,
+            "ns_per_block": Json::Fixed(r.wall_ns as f64 / r.blocks as f64, 2),
+            "peak_resident_steps": r.peak_resident_steps,
+        }).collect::<Vec<_>>(),
+        "region_addrs": obj! {
+            "materialized": region_addrs_materialized,
+            "resident": region_addrs_resident,
+            "drop": Json::Fixed(region_drop, 1),
+        },
+        "speedup_streaming_vs_seed": Json::Fixed(speedup, 3),
+        "speedup_parallel_vs_serial": Json::Fixed(par.median, 3),
+        "speedup_parallel_vs_serial_range": par.range(),
+        "subpaper": sp,
+        "agen_counters": obj! {
+            "live_spans": agen_paper.live_spans,
+            "replayed_spans": agen_paper.replayed_spans,
+            "window_jumps": agen_paper.window_jumps,
+            "boundary_successors": agen_paper.boundary_successors,
+            "skeleton_hits": agen_paper.skeleton_hits,
+            "skeleton_misses": agen_paper.skeleton_misses,
+        },
+        "run_counters": &rc_paper,
+        "backends": bk,
+        "serving": sv,
+        "fabric": fb,
+        "paging": pg,
+        "cycle_exact": cycle_exact,
+    };
+    std::fs::write("BENCH_sim.json", doc.render()).expect("write BENCH_sim.json");
     println!("  [saved BENCH_sim.json]");
 }
 
@@ -548,24 +269,6 @@ const ANALYTIC_SPEEDUP_FLOOR: f64 = 20.0;
 /// measured ratio is far higher, the floor only guards the architecture).
 const SERVING_WARM_SPEEDUP_FLOOR: f64 = 1.2;
 
-struct ServingSection {
-    requests: u64,
-    mix: RequestMix,
-    cfg: ServingConfig,
-    table_entries: usize,
-    gaps: &'static [f64],
-    sweep: Vec<ServingReport>,
-    knee: usize,
-    serial_equals_parallel: bool,
-    diff_requests: u64,
-    warm_wall_ns: u128,
-    cold_wall_ns: u128,
-    warm_speedup: f64,
-    session_contexts: usize,
-    session_hits: u64,
-    session_misses: u64,
-}
-
 /// The continuous-serving benchmark (PR 8), on the analytic backend so the
 /// 1000-request sweep fits the smoke budget. Two halves:
 ///
@@ -579,7 +282,7 @@ struct ServingSection {
 ///   batch (the pre-refactor cold-start pipeline). Cycle-identical by
 ///   construction — asserted — so the wall-clock ratio isolates the cost
 ///   of rebuilding contexts/span programs/KeyRuns per request.
-fn serving_section(sys: &SystemConfig) -> ServingSection {
+fn serving_section(sys: &SystemConfig) -> Json {
     let asys = sys.clone().with_backend(BackendKind::Analytic);
     let cfg = ServingConfig::for_system(&asys);
     let mix = RequestMix::recommendation_heavy();
@@ -593,7 +296,8 @@ fn serving_section(sys: &SystemConfig) -> ServingSection {
     let sweep = sweep_loads(&table, &cfg, 5, mix, requests, GAPS, true);
     let serial_equals_parallel = serial == sweep;
     assert!(serial_equals_parallel, "parallel sweep diverged from serial");
-    let knee = find_knee(&sweep, 3.0);
+    const KNEE_FACTOR: f64 = 3.0;
+    let knee = find_knee(&sweep, KNEE_FACTOR);
     println!(
         "  serving: {} pass costs in {table_ms:.0} ms; {requests}-request sweep, \
          knee at gap {:.0}",
@@ -630,40 +334,41 @@ fn serving_section(sys: &SystemConfig) -> ServingSection {
         session.hits(),
         session.misses(),
     );
-    ServingSection {
-        requests,
-        mix,
-        cfg,
-        table_entries: table.len(),
-        gaps: GAPS,
-        sweep,
-        knee,
-        serial_equals_parallel,
-        diff_requests,
-        warm_wall_ns,
-        cold_wall_ns,
-        warm_speedup,
-        session_contexts: session.len(),
-        session_hits: session.hits(),
-        session_misses: session.misses(),
+    obj! {
+        "requests": requests,
+        "mix": obj! {
+            "dlrm": Json::Fixed(mix.dlrm, 2),
+            "bert": Json::Fixed(mix.bert, 2),
+            "gpt2": Json::Fixed(mix.gpt2, 2),
+        },
+        "queue_cap": cfg.queue_cap,
+        "max_batch_requests": cfg.max_batch_requests,
+        "cost_table_entries": table.len(),
+        "sweep": sweep.iter().zip(GAPS).map(|(r, &gap)| obj! {
+            "mean_gap_cycles": Json::Fixed(gap, 0),
+            "p50": r.p50, "p95": r.p95, "p99": r.p99,
+            "served": r.served,
+            "rejected": r.rejected,
+            "batches": r.batches,
+            "pim_batches": r.pim_batches,
+            "mean_queue_depth": Json::Fixed(r.mean_queue_depth, 3),
+            "channel_utilization": Json::Fixed(r.channel_utilization, 4),
+        }).collect::<Vec<_>>(),
+        "knee_index": knee,
+        "knee_factor": Json::Fixed(KNEE_FACTOR, 1),
+        "serial_equals_parallel": serial_equals_parallel,
+        "warm_vs_cold": obj! {
+            "requests": diff_requests,
+            "warm_wall_ns": warm_wall_ns,
+            "cold_wall_ns": cold_wall_ns,
+            "speedup": Json::Fixed(warm_speedup, 2),
+            "speedup_floor": Json::Fixed(SERVING_WARM_SPEEDUP_FLOOR, 1),
+            "cycle_exact": true,
+            "session_contexts": session.len(),
+            "session_hits": session.hits(),
+            "session_misses": session.misses(),
+        },
     }
-}
-
-struct FabricTopoRun {
-    total_cycles: u64,
-    reduce_cycles: u64,
-    peak_link_gbps: f64,
-    stats: FabricStats,
-}
-
-struct FabricSection {
-    nodes: usize,
-    link_bytes_per_cycle: u64,
-    link_latency: u64,
-    clock_hz: u64,
-    host_total: u64,
-    host_reduce: u64,
-    topos: Vec<FabricTopoRun>,
 }
 
 /// The inter-device fabric comparison (PR 9): the paper-scale GEMM on the
@@ -682,10 +387,11 @@ fn fabric_section(
     spec: &GemmSpec,
     opts: &SimOptions,
     host: &LatencyReport,
-) -> FabricSection {
+) -> Json {
     let cfg = FabricConfig::default();
     let host_reduce = host.phase(Phase::Reduction);
     let mut topos = Vec::new();
+    let mut nodes = 0;
     for kind in [TopologyKind::Ring, TopologyKind::Line] {
         let fsys =
             sys.clone().with_reduce_via(ReduceVia::Fabric).with_fabric(cfg.with_topology(kind));
@@ -712,40 +418,37 @@ fn fabric_section(
             stats.reduce_fabric_cycles,
             stats.nodes,
         );
-        topos.push(FabricTopoRun {
-            total_cycles: r.total,
-            reduce_cycles: r.phase(Phase::Reduction),
-            peak_link_gbps: peak,
-            stats,
+        let links: Vec<Json> = stats
+            .links
+            .iter()
+            .map(|l| obj! {
+                "src": l.src, "dst": l.dst,
+                "bytes": l.bytes,
+                "busy_cycles": l.busy_cycles,
+                "messages": l.messages,
+                "peak_demand_bytes": l.peak_demand_bytes,
+                "gbps": Json::Fixed(l.gbps_active(host.clock_hz), 3),
+            })
+            .collect();
+        nodes = stats.nodes;
+        topos.push(obj! {
+            "topology": stats.topology,
+            "total_cycles": r.total,
+            "reduce_cycles": r.phase(Phase::Reduction),
+            "fabric_cycles": stats.reduce_fabric_cycles,
+            "bytes_injected": stats.bytes_injected,
+            "peak_link_gbps": Json::Fixed(peak, 3),
+            "links": links,
         });
     }
-    FabricSection {
-        nodes: topos[0].stats.nodes,
-        link_bytes_per_cycle: cfg.link_bytes_per_cycle,
-        link_latency: cfg.link_latency,
-        clock_hz: host.clock_hz,
-        host_total: host.total,
-        host_reduce,
-        topos,
+    obj! {
+        "nodes": nodes,
+        "link_bytes_per_cycle": cfg.link_bytes_per_cycle,
+        "link_latency": cfg.link_latency,
+        "host_dma": obj! { "total_cycles": host.total, "reduce_cycles": host_reduce },
+        "topologies": topos,
+        "dram_identical": true,
     }
-}
-
-struct PagingArm {
-    page_bytes: u64,
-    wall_ns: u128,
-    sim_cycles: u64,
-    blocks: u64,
-    run_counters: RunCounters,
-    /// Locality sampled on a representative fill plan: same-key run length
-    /// under this page map vs the native (unpaged) key stream.
-    sampled: stepstone_addr::PagedRunStats,
-}
-
-struct PagingSection {
-    identity_sim_cycles: u64,
-    identity_bit_identical: bool,
-    native_mean_run_len: f64,
-    arms: Vec<PagingArm>,
 }
 
 /// The VA->PA paging sweep (PR 10): how much block-grouping locality each
@@ -763,7 +466,7 @@ fn paging_section(
     opts: &SimOptions,
     baseline_cycles: u64,
     baseline_rc: &RunCounters,
-) -> PagingSection {
+) -> Json {
     use stepstone_addr::{paged_run_stats, PageMap, PagingConfig};
     let isys = serial_sys.clone().with_paging(PagingConfig::identity(4096));
     let ir = simulate_pow2_gemm_exec(&isys, spec, opts, None, ExecMode::Streaming);
@@ -811,36 +514,30 @@ fn paging_section(
             sampled.mean_run_len() / native_mean,
             sampled.page_splits,
         );
-        arms.push(PagingArm {
-            page_bytes,
-            wall_ns,
-            sim_cycles: r.total,
-            blocks,
-            run_counters: rc,
-            sampled,
+        arms.push(obj! {
+            "page_bytes": page_bytes,
+            "wall_ns": wall_ns,
+            "sim_cycles": r.total,
+            "ns_per_block": Json::Fixed(wall_ns as f64 / blocks as f64, 2),
+            "cycles_vs_baseline": Json::Fixed(r.total as f64 / baseline_cycles as f64, 4),
+            "run_counters": &rc,
+            "sampled": obj! {
+                "blocks": sampled.blocks,
+                "runs": sampled.runs,
+                "mean_run_len": Json::Fixed(sampled.mean_run_len(), 2),
+                "page_splits": sampled.page_splits,
+                "locality_vs_native": Json::Fixed(sampled.mean_run_len() / native_mean, 4),
+            },
         });
     }
-    PagingSection {
-        identity_sim_cycles: ir.total,
-        identity_bit_identical: identical,
-        native_mean_run_len: native_mean,
-        arms,
+    obj! {
+        "baseline_sim_cycles": baseline_cycles,
+        "identity": obj! {
+            "page_bytes": 4096u64, "sim_cycles": ir.total, "bit_identical": identical,
+        },
+        "arms": arms,
+        "native_sampled_mean_run_len": Json::Fixed(native_mean, 2),
     }
-}
-
-struct PresetSmoke {
-    name: &'static str,
-    sim_cycles: u64,
-    clock_hz: u64,
-    seconds: f64,
-}
-
-struct BackendsSection {
-    analytic_wall_ns: u128,
-    analytic_cycles: u64,
-    cycles_ratio: f64,
-    speedup: f64,
-    presets: Vec<PresetSmoke>,
 }
 
 /// Time the analytic tier on the paper-scale shape against the already
@@ -854,7 +551,7 @@ fn backends_section(
     opts: &SimOptions,
     exact_wall_ns: u128,
     exact_cycles: u64,
-) -> BackendsSection {
+) -> Json {
     let asys = sys.clone().with_backend(BackendKind::Analytic);
     let mut analytic_wall_ns = u128::MAX;
     let mut analytic_cycles = 0u64;
@@ -887,15 +584,25 @@ fn backends_section(
                 psys.dram.clock_hz / 1_000_000,
                 r.seconds() * 1e3,
             );
-            PresetSmoke {
-                name,
-                sim_cycles: r.total,
-                clock_hz: psys.dram.clock_hz,
-                seconds: r.seconds(),
+            obj! {
+                "name": name,
+                "sim_cycles": r.total,
+                "clock_hz": psys.dram.clock_hz,
+                "seconds": Json::Fixed(r.seconds(), 6),
             }
         })
-        .collect();
-    BackendsSection { analytic_wall_ns, analytic_cycles, cycles_ratio, speedup, presets }
+        .collect::<Vec<_>>();
+    obj! {
+        "exact": obj! { "wall_ns": exact_wall_ns, "sim_cycles": exact_cycles },
+        "analytic": obj! {
+            "wall_ns": analytic_wall_ns,
+            "sim_cycles": analytic_cycles,
+            "cycles_ratio_vs_exact": Json::Fixed(cycles_ratio, 4),
+            "speedup_vs_exact": Json::Fixed(speedup, 1),
+        },
+        "speedup_floor": Json::Fixed(ANALYTIC_SPEEDUP_FLOOR, 1),
+        "presets": presets,
+    }
 }
 
 /// Human-readable fallback split, nonzero causes only.
@@ -912,54 +619,11 @@ fn fallback_summary(c: &RunCounters) -> String {
     s
 }
 
-/// The run-granularity counters as a JSON object (deterministic; gated
-/// exact-match by `make bench-smoke`).
-fn run_counters_json(c: &RunCounters) -> String {
-    let hist: Vec<String> = c.hist.iter().map(|h| h.to_string()).collect();
-    let fallback: Vec<String> = FB_LABELS
-        .iter()
-        .enumerate()
-        .map(|(i, label)| format!("\"{label}\": {}", c.fallback[i]))
-        .collect();
-    format!(
-        "{{\"runs\": {}, \"run_blocks\": {}, \"mean_run_len\": {:.2}, \"hist\": [{}], \
-         \"fallback\": {{{}}}}}",
-        c.runs,
-        c.run_blocks,
-        c.mean_run_len(),
-        hist.join(", "),
-        fallback.join(", "),
-    )
-}
-
-struct SubPaper {
-    m: usize,
-    k: usize,
-    n: usize,
-    cold_ns_per_block: f64,
-    warm_ns_per_block: f64,
-    seed_ns_per_block: f64,
-    agen_ns_per_span: f64,
-    /// Skeleton spans resident in the global span-program cache after the
-    /// runs (bounded by its caps; the replay working set).
-    cache_resident_spans: usize,
-    /// Span-program counters of the final (fully warm) span-generation
-    /// pass: cache hits/misses and how window boundaries were crossed.
-    /// Deterministic (serial loop), so the smoke gate can tell a cache or
-    /// window-successor regression from host noise.
-    agen: stepstone_addr::agen::AgenCounters,
-    /// Run-granularity counters of the warm streaming run (deterministic,
-    /// exact-match gated like the agen counters).
-    run_counters: RunCounters,
-    parallel: ParallelRatio,
-    cycle_exact: bool,
-}
-
 /// Measure the sub-paper serving shape: cold and warm streaming runs (the
 /// span-program cache persists across simulations, so "warm" is the
 /// steady state of repeated Table-I layers), the frozen seed replay for a
 /// cycle cross-check, and the production span generator alone.
-fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
+fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> Json {
     let (m, k, n) = (512, 512, 32);
     let spec = GemmSpec::new(m, k, n);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
@@ -1048,19 +712,25 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
          (min {:.2}x, max {:.2}x)",
         parallel.median, parallel.min, parallel.max,
     );
-    SubPaper {
-        m,
-        k,
-        n,
-        cold_ns_per_block: cold_ns / blocks,
-        warm_ns_per_block: warm_ns / blocks,
-        seed_ns_per_block: seed_ns / blocks,
-        agen_ns_per_span: best_ns_per_span,
-        cache_resident_spans,
-        agen,
-        run_counters: rc,
-        parallel,
-        cycle_exact,
+    obj! {
+        "m": m,
+        "k": k,
+        "n": n,
+        "level": "BG",
+        "cold_ns_per_block": Json::Fixed(cold_ns / blocks, 2),
+        "warm_ns_per_block": Json::Fixed(warm_ns / blocks, 2),
+        "seed_ns_per_block": Json::Fixed(seed_ns / blocks, 2),
+        "speedup_warm_vs_seed": Json::Fixed((seed_ns / blocks) / (warm_ns / blocks), 3),
+        "agen_ns_per_span": Json::Fixed(best_ns_per_span, 2),
+        "cache_resident_spans": cache_resident_spans,
+        "span_cache_hits": agen.skeleton_hits,
+        "span_cache_misses": agen.skeleton_misses,
+        "boundary_successors": agen.boundary_successors,
+        "window_jumps": agen.window_jumps,
+        "run_counters": &rc,
+        "speedup_parallel_vs_serial": Json::Fixed(parallel.median, 3),
+        "speedup_parallel_vs_serial_range": parallel.range(),
+        "cycle_exact": cycle_exact,
     }
 }
 
@@ -1078,6 +748,13 @@ struct ParallelRatio {
     median: f64,
     min: f64,
     max: f64,
+}
+
+impl ParallelRatio {
+    /// `[min, max]` of the pairs, as `BENCH_sim.json` records it.
+    fn range(&self) -> Json {
+        vec![Json::Fixed(self.min, 3), Json::Fixed(self.max, 3)].into()
+    }
 }
 
 /// Time [`RATIO_PAIRS`] serial/parallel pairs of one streaming simulation,

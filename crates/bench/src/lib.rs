@@ -7,6 +7,7 @@
 //! sweeps.
 
 pub mod figures;
+pub mod json;
 pub mod output;
 pub mod seed_replay;
 

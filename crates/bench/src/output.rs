@@ -1,6 +1,8 @@
 //! Tabular output shared by all figure harnesses: aligned text tables for
 //! the terminal plus JSON dumps under `results/` for plotting.
 
+use crate::json::Json;
+use crate::obj;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -92,44 +94,27 @@ impl FigureResult {
         let dir = PathBuf::from("results");
         std::fs::create_dir_all(&dir).ok()?;
         let path = dir.join(format!("{}.json", self.id));
-        std::fs::write(&path, self.to_json()).ok()?;
+        std::fs::write(&path, self.to_json().render()).ok()?;
         Some(path)
     }
 
-    /// JSON encoding (hand-rolled; the workspace has no JSON library).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = write!(out, "  \"id\": {},\n  \"title\": {},\n", json_str(&self.id), json_str(&self.title));
-        let _ = writeln!(
-            out,
-            "  \"notes\": [{}],",
-            self.notes.iter().map(|n| json_str(n)).collect::<Vec<_>>().join(", ")
-        );
-        out.push_str("  \"tables\": [");
-        for (i, (caption, t)) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"caption\": {}, \"headers\": [{}], \"rows\": [",
-                json_str(caption),
-                t.headers.iter().map(|h| json_str(h)).collect::<Vec<_>>().join(", ")
-            );
-            for (j, row) in t.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n      [{}]",
-                    row.iter().map(|c| json_str(c)).collect::<Vec<_>>().join(", ")
-                );
-            }
-            out.push_str("\n    ]}");
+    /// The figure as a JSON document: id, title, notes, and each table's
+    /// caption, headers, and rows.
+    pub fn to_json(&self) -> Json {
+        let tables: Vec<Json> = self
+            .tables
+            .iter()
+            .map(|(caption, t)| {
+                let rows: Vec<Json> = t.rows.iter().map(|r| r.clone().into()).collect();
+                obj! { "caption": caption.as_str(), "headers": t.headers.clone(), "rows": rows }
+            })
+            .collect();
+        obj! {
+            "id": self.id.as_str(),
+            "title": self.title.as_str(),
+            "notes": self.notes.clone(),
+            "tables": tables,
         }
-        out.push_str("\n  ]\n}\n");
-        out
     }
 
     /// Print, save, and return.
@@ -140,25 +125,6 @@ impl FigureResult {
         }
         self
     }
-}
-
-/// Minimal JSON string escaping for table cells and captions.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Sweep size selector: `Full` reproduces the paper's ranges; `Quick` is a

@@ -35,7 +35,11 @@ pub fn simulate_pei(
     level: PimLevel,
     mut traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
-    let mut report = LatencyReport { backend: format!("PEI-{}", level.tag()), ..Default::default() };
+    let mut report = LatencyReport {
+        backend: format!("PEI-{}", level.tag()),
+        clock_hz: sys.dram.clock_hz,
+        ..Default::default()
+    };
     for sub in spec.decompose_pow2() {
         let r = simulate_pei_pow2(sys, &sub, level, stepstone_dram::traffic::reborrow(&mut traffic));
         report.chain(&r);
@@ -154,8 +158,11 @@ pub fn simulate_ncho(
     level: PimLevel,
     mut traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
-    let mut report =
-        LatencyReport { backend: format!("nCHO-{}", level.tag()), ..Default::default() };
+    let mut report = LatencyReport {
+        backend: format!("nCHO-{}", level.tag()),
+        clock_hz: sys.dram.clock_hz,
+        ..Default::default()
+    };
     for sub in spec.decompose_pow2() {
         let r = simulate_ncho_pow2(sys, &sub, level, stepstone_dram::traffic::reborrow(&mut traffic));
         report.chain(&r);

@@ -611,9 +611,6 @@ pub enum ExecMode {
     #[default]
     Streaming,
     Materialized,
-    /// `Materialized` plus the seed-era per-candidate GF(2) corrector in
-    /// the AGEN — the faithful pre-streaming baseline for benchmarks.
-    MaterializedSeedAgen,
 }
 
 /// Stage of the per-rpart section of Algorithm 1 a [`KernelStream`] is in.
@@ -1157,16 +1154,6 @@ fn subset_remap(ctx: &GemmContext, sys: &SystemConfig, opts: &SimOptions) -> Opt
     })
 }
 
-/// Simulate a single power-of-two GEMM (streaming step programs).
-pub fn simulate_pow2_gemm(
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-) -> LatencyReport {
-    simulate_pow2_gemm_exec(sys, spec, opts, traffic, ExecMode::Streaming)
-}
-
 /// Simulate a single power-of-two GEMM with an explicit execution mode
 /// (see [`ExecMode`]; `Materialized` is the seed path kept for equivalence
 /// tests and benchmarks). Under [`BackendKind::Exact`] (the default) the
@@ -1249,53 +1236,8 @@ pub fn simulate_pow2_gemm_resident(
     report.add_phase(Phase::Localization, loc_end - t0);
 
     // Phase 2: the PIM kernels.
-    let remap = subset_remap(ctx, sys, opts);
-    let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
-        .map(|pix| {
-            let steps: Box<dyn StepSource + Send> = match mode {
-                ExecMode::Streaming => Box::new(KernelStream::new(ctx, sys, opts, pix)),
-                ExecMode::Materialized => {
-                    Box::new(PlainSteps(build_kernel_program_for(ctx, sys, opts, pix).into_iter()))
-                }
-                ExecMode::MaterializedSeedAgen => Box::new(PlainSteps(
-                    KernelStream::new(ctx, sys, opts, pix)
-                        .with_seed_agen()
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                )),
-            };
-            // Kernel streams translate through the paging layer and pay
-            // the PTW on page transitions (applied after collection for
-            // the materialized modes, so all three stay step-identical).
-            let steps: Box<dyn StepSource + Send> = match &ctx.page_map {
-                Some(pm) if pm.affects_stream() => {
-                    Box::new(PagedSteps::new(steps, pm.clone(), true))
-                }
-                _ => steps,
-            };
-            let mut u = UnitCursor::from_source(
-                "pim",
-                ctx.pim_channel(ctx.active_pims[pix]),
-                opts.level_cfg.port(),
-                steps,
-                loc_end,
-                opts.level_cfg.compute_cycles_per_block(ctx.n),
-                opts.level_cfg.simd_ops_per_block(ctx.n),
-                opts.level_cfg.pipeline_depth as usize,
-                sys.launch.slots_for(opts.granularity),
-                sys.launch.launch_latency,
-                sys.dram.timing.t_bl,
-                remap.clone(),
-            );
-            // Each PIM owns its bank partition and internal datapath (the
-            // ID parities pin channel/rank/BG bits), so steady CAS runs may
-            // stream past other units' scheduler turns.
-            u.exclusive = true;
-            u
-        })
-        .collect();
-    let kernel_end =
-        run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
+    let mut units = kernel_cursors(ctx, sys, opts, mode, loc_end);
+    run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
 
     // Attribute kernel categories: the critical-path (max) PIM per category.
     let mut activity = ActivityCounts::default();
@@ -1311,7 +1253,6 @@ pub fn simulate_pow2_gemm_resident(
         activity.agen_max_step = activity.agen_max_step.max(u.agen_iter_max);
         activity.agen_bubbles += u.agen_bubbles;
     }
-    let _ = kernel_end;
 
     // Phase 3: reduction of partial C.
     let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
@@ -1346,6 +1287,57 @@ pub fn simulate_pow2_gemm_resident(
     report.dram = ts.stats.delta(&stats0);
     report.activity = activity;
     report
+}
+
+/// The kernel-phase cursors of every active PIM, starting at `start`:
+/// each PIM's step program in `mode`, translated through the paging layer
+/// (paying the PTW on page transitions) and under the PIM-subset remap.
+/// Every flow that runs StepStone kernels builds them here.
+pub(crate) fn kernel_cursors<'a>(
+    ctx: &'a GemmContext,
+    sys: &SystemConfig,
+    opts: &SimOptions,
+    mode: ExecMode,
+    start: u64,
+) -> Vec<UnitCursor<'a>> {
+    let remap = subset_remap(ctx, sys, opts);
+    (0..ctx.active_pims.len())
+        .map(|pix| {
+            let steps: Box<dyn StepSource + Send> = match mode {
+                ExecMode::Streaming => Box::new(KernelStream::new(ctx, sys, opts, pix)),
+                ExecMode::Materialized => {
+                    Box::new(PlainSteps(build_kernel_program_for(ctx, sys, opts, pix).into_iter()))
+                }
+            };
+            // Applied after collection for the materialized mode, so both
+            // modes stay step-identical.
+            let steps: Box<dyn StepSource + Send> = match &ctx.page_map {
+                Some(pm) if pm.affects_stream() => {
+                    Box::new(PagedSteps::new(steps, pm.clone(), true))
+                }
+                _ => steps,
+            };
+            let mut u = UnitCursor::from_source(
+                "pim",
+                ctx.pim_channel(ctx.active_pims[pix]),
+                opts.level_cfg.port(),
+                steps,
+                start,
+                opts.level_cfg.compute_cycles_per_block(ctx.n),
+                opts.level_cfg.simd_ops_per_block(ctx.n),
+                opts.level_cfg.pipeline_depth as usize,
+                sys.launch.slots_for(opts.granularity),
+                sys.launch.launch_latency,
+                sys.dram.timing.t_bl,
+                remap.clone(),
+            );
+            // Each PIM owns its bank partition and internal datapath (the ID
+            // parities pin channel/rank/BG bits), so steady CAS runs may
+            // stream past other units' scheduler turns.
+            u.exclusive = true;
+            u
+        })
+        .collect()
 }
 
 /// The fabric leg of a `ReduceVia::Fabric` Phase 3: route every device's

@@ -13,8 +13,10 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::CpuModel;
-use crate::engine::{run_phase_auto, TrafficCursor, UnitCursor};
-use crate::flow::{fabric_reduce, transfer_cursors, GemmContext, KernelStream, SimOptions};
+use crate::engine::{run_phase_auto, TrafficCursor};
+use crate::flow::{
+    fabric_reduce, kernel_cursors, transfer_cursors, ExecMode, GemmContext, SimOptions,
+};
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::PimLevel;
@@ -164,30 +166,10 @@ pub fn simulate_gemm_fused(
     let mut kernel_ready = loc_done;
     for (i, ctx) in ctxs.iter().enumerate() {
         let start = kernel_ready.max(kernel_end);
-        let mut cursors: Vec<UnitCursor> = (0..ctx.active_pims.len())
-            .map(|pix| {
-                let mut u = UnitCursor::new(
-                    "pim-fused",
-                    ctx.pim_channel(ctx.active_pims[pix]),
-                    opts.level_cfg.port(),
-                    KernelStream::new(ctx, sys, opts, pix),
-                    start,
-                    opts.level_cfg.compute_cycles_per_block(spec.n),
-                    opts.level_cfg.simd_ops_per_block(spec.n),
-                    opts.level_cfg.pipeline_depth as usize,
-                    sys.launch.slots_for(opts.granularity),
-                    sys.launch.launch_latency,
-                    sys.dram.timing.t_bl,
-                    None,
-                );
-                // Kernel PIMs own their bank partitions; the rounds that
-                // also carry next-round DMA localization keep the strict
-                // per-block interleave (the DMA cursor is not exclusive,
-                // which disables scheduler overrun for the whole group).
-                u.exclusive = true;
-                u
-            })
-            .collect();
+        // Rounds that also carry next-round DMA localization keep the
+        // strict per-block interleave: the DMA cursor is not exclusive,
+        // which disables scheduler overrun for the whole group.
+        let mut cursors = kernel_cursors(ctx, sys, opts, ExecMode::Streaming, start);
         let n_kernels = cursors.len();
         if let Some(next) = ctxs.get(i + 1) {
             cursors.extend(transfer_cursors(
@@ -264,7 +246,8 @@ pub fn simulate_gemm_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{simulate_gemm, simulate_gemm_opt};
+    use crate::flow::simulate_gemm_opt;
+    use stepstone_addr::PagingConfig;
 
     #[test]
     fn split_batch_is_linear_in_chunks() {
@@ -361,12 +344,24 @@ mod tests {
 
     #[test]
     fn fused_equals_plain_for_pow2() {
-        let sys = SystemConfig::default();
-        let spec = GemmSpec::new(512, 2048, 4);
+        // A power-of-two GEMM is one fused round: the same localization,
+        // kernels and reduction as the plain flow, so every cycle and
+        // counter must match, including under 4 KiB fragmented paging (the
+        // kernels pay the PTW) and a PIM subset (the kernels remap IDs).
+        let spec = GemmSpec::new(512, 1024, 4);
         let opts = SimOptions::stepstone(PimLevel::BankGroup);
-        let plain = simulate_gemm(&sys, &spec, PimLevel::BankGroup).total;
-        let fused = simulate_gemm_fused(&sys, &spec, &opts, None).total;
-        let ratio = fused as f64 / plain as f64;
-        assert!((0.9..1.1).contains(&ratio), "{fused} vs {plain}");
+        let paged = SystemConfig::default().with_paging(PagingConfig::fragmented(4096, 42));
+        for (arm, sys, opts) in [
+            ("default", SystemConfig::default(), opts.clone()),
+            ("paged-4KiB", paged, opts.clone()),
+            ("subset", SystemConfig::default(), opts.with_subset(1)),
+        ] {
+            let plain = simulate_gemm_opt(&sys, &spec, &opts, None);
+            let fused = simulate_gemm_fused(&sys, &spec, &opts, None);
+            assert_eq!(fused.total, plain.total, "{arm}: total");
+            assert_eq!(fused.phase_cycles, plain.phase_cycles, "{arm}: phase cycles");
+            assert_eq!(fused.dram, plain.dram, "{arm}: DRAM stats");
+            assert_eq!(fused.activity, plain.activity, "{arm}: activity");
+        }
     }
 }

@@ -28,8 +28,8 @@ perfbench:
 ci:
     make ci
 
-# Build release, run the hot-path bench on a small config, validate
-# BENCH_sim.json.
+# Build release, run the hot-path bench at the committed paper shape,
+# validate BENCH_sim.json against the committed file.
 bench-smoke:
     make bench-smoke
 

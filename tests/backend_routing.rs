@@ -7,7 +7,7 @@ use stepstone::core::{
     simulate_gemm_fused, simulate_gemm_opt, simulate_ncho, simulate_pei, GemmSpec, LatencyReport,
     SimOptions, SystemConfig,
 };
-use stepstone::dram::BackendKind;
+use stepstone::dram::{BackendKind, DramConfig};
 use stepstone::workloads::SyntheticTraffic;
 
 const LEVEL: PimLevel = PimLevel::BankGroup;
@@ -41,4 +41,16 @@ fn analytic_tier_runs_exact_where_no_closed_form_exists() {
     // The traffic arm really co-simulates: the colocated requests show up
     // in the DRAM statistics on top of the GEMM's own accesses.
     assert!(run("traffic", &exact).dram.accesses() > run("quiet", &exact).dram.accesses());
+}
+
+#[test]
+fn every_flow_reports_the_simulated_dram_clock() {
+    // Cycle counts are denominated in the simulated part's command clock,
+    // so `seconds()` is only right when every flow carries that clock.
+    for name in DramConfig::PRESET_NAMES {
+        let sys = SystemConfig::default().with_dram(DramConfig::by_name(name).expect("preset"));
+        for flow in ["pei", "ncho", "fused", "quiet"] {
+            assert_eq!(run(flow, &sys).clock_hz, sys.dram.clock_hz, "{name} {flow}");
+        }
+    }
 }

@@ -16,7 +16,10 @@
 //! * run-granular — hinted runs admitted as single scheduling objects
 //!   (`StepSource::take_run` + synthesized followers + the closed-form
 //!   jump), forced off through `engine::set_run_granular` so every block
-//!   goes through a real source pull.
+//!   goes through a real source pull. At bank-group level the small-N
+//!   shapes walk `A` in 2-block AGEN spans that stay in one row, so their
+//!   admitted runs continue across spans; the matrix checks that path is
+//!   taken (row fallbacks far below the in-span-only count).
 //!
 //! Every combination must produce a `LatencyReport` identical to the
 //! frozen seed engine. The whole matrix runs inside one `#[test]` because
@@ -25,7 +28,7 @@
 use stepstone_addr::{PagingConfig, PimLevel};
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, set_run_granular, set_span_fast_path,
+    reset_run_counters, run_counters, set_run_granular, set_span_fast_path, FB_ROW,
 };
 use stepstone_core::{
     simulate_pow2_gemm_exec, ExecMode, FabricConfig, GemmSpec, LatencyReport, Phase, ReduceVia,
@@ -66,19 +69,31 @@ impl Drop for RunGranularGuard {
     }
 }
 
+/// (M, K, N, per level: the in-span-only `row` fallback count).
+type MatrixCase = (usize, usize, usize, &'static [(PimLevel, u64)]);
+
 #[test]
 fn matrix_parallel_trace_fastpath_match_frozen_seed() {
     let _serial = knob_lock();
     let _guard = FastPathGuard(set_span_fast_path(true));
     let _guard_rg = RunGranularGuard(set_run_granular(true));
     let mut admitted = 0u64;
-    let cases: &[(usize, usize, usize, &[PimLevel])] = &[
-        (128, 512, 2, &[PimLevel::BankGroup]),
-        (256, 1024, 4, &PimLevel::ALL),
+    // Per level: the `row` fallbacks with both knobs on when hints stopped
+    // at AGEN span ends. Bank-group walks run in same-row chains of 2-block
+    // spans and must now stay far below it; the other levels' spans change
+    // row at each boundary and must not exceed it.
+    let cases: &[MatrixCase] = &[
+        (128, 512, 2, &[(PimLevel::BankGroup, 4096)]),
+        (
+            256,
+            1024,
+            4,
+            &[(PimLevel::Channel, 8192), (PimLevel::Device, 8192), (PimLevel::BankGroup, 16384)],
+        ),
     ];
     for &(m, k, n, levels) in cases {
         let spec = GemmSpec::new(m, k, n);
-        for &level in levels {
+        for &(level, in_span_rows) in levels {
             let opts = SimOptions::stepstone(level);
             let seed = simulate_pow2_gemm_seed(
                 &SystemConfig { parallel: false, ..SystemConfig::default() },
@@ -111,6 +126,17 @@ fn matrix_parallel_trace_fastpath_match_frozen_seed() {
                             assert_reports_equal(&got, &seed, &what);
                             if !(rg && fast) {
                                 assert_eq!(c.runs, 0, "{what}: admission needs both knobs");
+                            } else if !trace {
+                                let rows = c.fallback[FB_ROW];
+                                if level == PimLevel::BankGroup {
+                                    assert!(
+                                        rows * 8 <= in_span_rows,
+                                        "{what}: {rows} row fallbacks; cross-span runs should \
+                                         cut the in-span-only {in_span_rows} at least 8x"
+                                    );
+                                } else {
+                                    assert!(rows <= in_span_rows, "{what}: {rows} row fallbacks");
+                                }
                             }
                             admitted += c.runs;
                         }

@@ -214,37 +214,115 @@ impl SubsetRemap {
 /// `(bank, row, direction)` window key. The addresses need *not* be
 /// contiguous: XOR mappings interleave a run's columns across the mapping
 /// period, but the non-column decode fields still cancel (region cursors
-/// tabulate these boundaries with [`stepstone_addr::KeyRuns`]; the span
-/// program's replayed runs are column-pure by construction). The reorder
+/// tabulate these boundaries with [`stepstone_addr::KeyRuns`]; the kernel
+/// walk's promises may continue across consecutive AGEN spans). The reorder
 /// window reuses the run's key without per-entry comparisons; debug builds
-/// verify the promised key on every hinted pull.
+/// verify the promised key on every hinted pull. Taking `&mut self` lets a
+/// source look ahead (pull and buffer upcoming spans) to answer.
 ///
 /// `take_run` is the run-granular escalation of the same promise: skip the
 /// next `n` steps wholesale, *without* yielding them through `next`. It
 /// may only skip steps the current hint covers — `Step::Access`es sharing
 /// the just-pulled anchor's window key, category, compute flag, and
-/// direction, each costing exactly one AGEN iteration — and returns how
-/// many it skipped (possibly fewer than `n`; `0` means unsupported and the
-/// engine falls back to per-block pulls). The engine synthesizes the
-/// skipped entries from the anchor, so a source honoring the contract is
-/// cycle-exact with the per-block path by construction.
+/// direction, each costing between 1 and the unit's `burst_window` AGEN
+/// iterations — and returns how many it skipped (possibly fewer than `n`;
+/// `0` means unsupported and the engine falls back to per-block pulls).
+/// Every skipped step costing more than one iteration is recorded in
+/// `costs` (see [`RunCosts`]). The engine synthesizes the skipped entries
+/// from the anchor and the recorded costs, so a source honoring the
+/// contract is cycle-exact with the per-block path by construction (the
+/// burst-window bound is what lets the closed-form issue paths ignore the
+/// costs' timing; see `UnitCursor::jump_len`).
 pub trait StepSource: Iterator<Item = Step> {
-    fn run_hint(&self) -> u64 {
+    fn run_hint(&mut self) -> u64 {
         1
     }
 
-    fn take_run(&mut self, _n: u64) -> u64 {
+    fn take_run(&mut self, _n: u64, _costs: &mut RunCosts) -> u64 {
         0
     }
 }
 
 impl<S: StepSource + ?Sized> StepSource for Box<S> {
-    fn run_hint(&self) -> u64 {
+    fn run_hint(&mut self) -> u64 {
         (**self).run_hint()
     }
 
-    fn take_run(&mut self, n: u64) -> u64 {
-        (**self).take_run(n)
+    fn take_run(&mut self, n: u64, costs: &mut RunCosts) -> u64 {
+        (**self).take_run(n, costs)
+    }
+}
+
+/// AGEN costs of the steps one [`StepSource::take_run`] call skipped.
+///
+/// A skipped step costs one iteration unless the source recorded it here
+/// by its offset from the first skipped step (e.g. the head of an AGEN span
+/// a run continues into). The engine reads the record back in step order
+/// as it synthesizes the followers.
+#[derive(Debug, Default, Clone)]
+pub struct RunCosts {
+    /// `(offset, iterations)` of every skipped step costing more than one
+    /// iteration, offsets strictly increasing.
+    heads: Vec<(u64, u32)>,
+    /// Next unread entry of `heads`.
+    read: usize,
+    /// Offset of the next follower to be synthesized.
+    pos: u64,
+}
+
+impl RunCosts {
+    /// Record that the skipped step at `offset` (counted from the first
+    /// skipped step) costs `iters` AGEN iterations.
+    pub fn record(&mut self, offset: u64, iters: u32) {
+        debug_assert!(
+            self.heads.last().is_none_or(|&(o, _)| o < offset),
+            "cost offsets must increase"
+        );
+        if iters != 1 {
+            self.heads.push((offset, iters));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.read = 0;
+        self.pos = 0;
+    }
+
+    /// AGEN cost of the next follower.
+    #[inline]
+    fn next(&mut self) -> u32 {
+        let pos = self.pos;
+        self.pos += 1;
+        match self.heads.get(self.read) {
+            Some(&(off, iters)) if off == pos => {
+                self.read += 1;
+                iters
+            }
+            _ => 1,
+        }
+    }
+
+    /// Fold the next `k ≥ 1` followers' costs: their sum, their maximum,
+    /// and the last one's cost.
+    fn next_k(&mut self, k: u64) -> (u64, u32, u32) {
+        let end = self.pos + k;
+        let (mut sum, mut max, mut last) = (k, 1, 1);
+        while let Some(&(off, iters)) = self.heads.get(self.read).filter(|h| h.0 < end) {
+            self.read += 1;
+            sum += iters as u64 - 1;
+            max = max.max(iters);
+            if off == end - 1 {
+                last = iters;
+            }
+        }
+        self.pos = end;
+        (sum, max, last)
+    }
+
+    /// Largest recorded cost (1 when nothing costlier was recorded).
+    fn max(&self) -> u32 {
+        self.heads.iter().map(|h| h.1).max().unwrap_or(1)
     }
 }
 
@@ -310,6 +388,9 @@ pub struct UnitCursor<'a> {
     /// probes, and stats are column-blind, and admission requires the
     /// trace to be off).
     run_anchor: Option<WinEntry>,
+    /// Per-follower AGEN costs of the admitted run, as its source reported
+    /// them through [`StepSource::take_run`].
+    run_costs: RunCosts,
     /// How many window entries (always a suffix, while `run_left > 0`) are
     /// synthesized followers of the current admitted run. When the whole
     /// window is followers, the steady batch loop issues the remaining
@@ -438,6 +519,7 @@ impl<'a> UnitCursor<'a> {
             hint_key: 0,
             run_left: 0,
             run_anchor: None,
+            run_costs: RunCosts::default(),
             win_synth: 0,
             run_admit: false,
             fallback_cause: FB_OTHER as u8,
@@ -504,7 +586,7 @@ impl<'a> UnitCursor<'a> {
             // An admitted run synthesizes its followers from the anchor:
             // the source already skipped these steps (take_run), promising
             // Accesses that share the anchor's key, category, and
-            // direction at one AGEN iteration each — so the bookkeeping
+            // direction at the AGEN costs it reported — so the bookkeeping
             // below is the per-pull arithmetic verbatim, applied to the
             // promised values.
             if self.run_left > 0 {
@@ -523,12 +605,7 @@ impl<'a> UnitCursor<'a> {
             match self.peek() {
                 Some(Step::Access { pa, write, cat, agen_iters, compute }) => {
                     self.peeked = None;
-                    self.gen_clock = self.gen_clock.max(self.not_before) + agen_iters as u64;
-                    self.agen_iter_sum += agen_iters as u64;
-                    self.agen_iter_max = self.agen_iter_max.max(agen_iters);
-                    if agen_iters as u64 > self.burst_window {
-                        self.agen_bubbles += 1;
-                    }
+                    self.charge_agen(agen_iters);
                     let mut coord = mapping.decode(pa);
                     if let Some(su) = &self.subset {
                         coord = su.remap(coord, pa);
@@ -582,9 +659,15 @@ impl<'a> UnitCursor<'a> {
                     // this entry anchors the synthesized followers.
                     let mut admitted = false;
                     if run_first && self.run_admit && self.hint_left > 0 {
-                        let skipped = self.steps.take_run(self.hint_left);
+                        self.run_costs.clear();
+                        let skipped = self.steps.take_run(self.hint_left, &mut self.run_costs);
                         if skipped > 0 {
                             debug_assert!(skipped <= self.hint_left, "over-skip");
+                            debug_assert!(
+                                self.run_costs.max() as u64 <= self.burst_window,
+                                "unit '{}': a skipped step costs more than the burst window",
+                                self.label
+                            );
                             self.hint_left -= skipped;
                             self.run_left = skipped;
                             self.run_anchor = Some(entry);
@@ -620,20 +703,29 @@ impl<'a> UnitCursor<'a> {
         }
     }
 
+    /// Charge one generated address's AGEN iterations: the serial AGEN
+    /// starts no earlier than the unit's next issue slot, and a step slower
+    /// than the burst window is a bubble.
+    #[inline]
+    fn charge_agen(&mut self, iters: u32) {
+        self.gen_clock = self.gen_clock.max(self.not_before) + iters as u64;
+        self.agen_iter_sum += iters as u64;
+        self.agen_iter_max = self.agen_iter_max.max(iters);
+        if iters as u64 > self.burst_window {
+            self.agen_bubbles += 1;
+        }
+    }
+
     /// Synthesize one admitted-run follower into the window: the exact
     /// per-pull arithmetic of [`UnitCursor::fill_window`] applied to the
-    /// values [`StepSource::take_run`] promised (one AGEN iteration, the
-    /// anchor's key and coordinate — the stale column is never read).
+    /// values [`StepSource::take_run`] promised (the reported AGEN cost,
+    /// the anchor's key and coordinate — the stale column is never read).
     #[inline]
     fn synth_follower(&mut self, scope: u64) {
         let anchor = self.run_anchor.expect("admitted run has an anchor");
         self.run_left -= 1;
-        self.gen_clock = self.gen_clock.max(self.not_before) + 1;
-        self.agen_iter_sum += 1;
-        self.agen_iter_max = self.agen_iter_max.max(1);
-        if 1 > self.burst_window {
-            self.agen_bubbles += 1;
-        }
+        let iters = self.run_costs.next();
+        self.charge_agen(iters);
         match self.window.back() {
             None => self.win_uniform = true,
             Some(b) => {
@@ -658,10 +750,31 @@ impl<'a> UnitCursor<'a> {
     /// `d` — which this function verifies arithmetically — every later
     /// transition does too (the launch gate, once below the CAS, can never
     /// bind again), and all `run_left` remaining followers can be issued
-    /// closed-form. Any failed condition just means "stream one more block
-    /// and try again": the transient at a run's head (pipeline refilling,
-    /// launch gate clearing, pre-run in-flight entries draining) settles
-    /// within a few blocks.
+    /// closed-form. The in-flight deque need not be part of that shift
+    /// when none of its pops can bind (checked entry by entry against the
+    /// CAS of the block that pops it): then `d` is the CAS step and the
+    /// deque just collects the new cadence's completions. That form lets
+    /// a short run jump while its head's transient — pre-run completions
+    /// still in flight — would otherwise last `pipeline_depth` blocks. Any
+    /// failed condition just means "stream one more block and try again":
+    /// the rest of the transient (launch gate clearing, SIMD horizon and
+    /// unit clock catching up with the CAS) settles within a few blocks.
+    ///
+    /// **Followers of varying AGEN cost.** A follower's AGEN cost `a` (1 ..=
+    /// `burst_window`, as [`StepSource::take_run`] reported it) is the one
+    /// per-block input that differs along a run — a run continuing across
+    /// AGEN spans pays each span head's corrector iterations. It never
+    /// decides a max: with `gen_clock ≤ cas` the follower's stamp is
+    /// `cas + a ≤ cas + burst_window ≤ cas + step` (the grant in
+    /// [`run_phase`] requires `burst_window ≤ step`), and the steady CAS
+    /// rule already waits until `cas + step`; the new `gen_clock = cas + a`
+    /// is again at or below the next CAS, so the bound holds for every later
+    /// block too. The transition is therefore the same shift-invariant
+    /// circuit whatever the costs, and only the AGEN counters and the final
+    /// `gen_clock` read them ([`UnitCursor::jump_followers`]). The same
+    /// bound — stamp ≤ previous CAS + `burst_window` ≤ CAS step — is what
+    /// masks the stamps in the frozen-window path of
+    /// [`UnitCursor::advance_batch`].
     fn jump_len(
         &self,
         cur: &WinEntry,
@@ -669,7 +782,7 @@ impl<'a> UnitCursor<'a> {
         step: u64,
     ) -> Option<(u64, u64)> {
         let cas = bt.cas_at;
-        // `gen_clock ≤ cas` makes the AGEN term exactly `cas + 1 ≤ cas +
+        // `gen_clock ≤ cas` makes the AGEN term exactly `cas + a ≤ cas +
         // step` on this and (by the shift) every later block — masked.
         if self.host_gap != 0
             || self.pending_kernel_start
@@ -679,7 +792,7 @@ impl<'a> UnitCursor<'a> {
             return None;
         }
         // Predict the next transition exactly as issue_nb + the steady CAS
-        // rule would compute it (the AGEN term is `max(gen_clock, cas) + 1
+        // rule would compute it (the AGEN term is `max(gen_clock, cas) + a
         // ≤ cas + step`, so it never decides the max).
         let full = self.inflight.len() >= self.pipeline_depth;
         let mut nb = cas + step;
@@ -688,20 +801,8 @@ impl<'a> UnitCursor<'a> {
         }
         let d = nb - cas;
         if cur.compute {
-            // The deque must already be one arithmetic cadence: then each
-            // jumped block pops its front and pushes back + d, a pure
-            // shift of the whole deque by d.
-            if !full
-                || self.simd_free != *self.inflight.back().unwrap()
-                || self
-                    .inflight
-                    .iter()
-                    .zip(self.inflight.iter().skip(1))
-                    .any(|(a, b)| b.wrapping_sub(*a) != d)
-            {
-                return None;
-            }
-            // The next completion must continue that cadence…
+            // The next completion must continue the SIMD horizon's cadence
+            // (each jumped block then pushes `simd_free + d`)…
             let done = self.simd_free.max(bt.data_end + d) + self.compute_cycles_per_block;
             if done != self.simd_free + d {
                 return None;
@@ -709,6 +810,36 @@ impl<'a> UnitCursor<'a> {
             // …and the unit clock must be tracking the CAS.
             if self.clock != cas {
                 return None;
+            }
+            // Pops. Either the deque already is that cadence — each jumped
+            // block pops its front and pushes back + d, a pure shift of the
+            // whole deque by d — or no pop can bind: at d = step, block `i`
+            // of the jump issues at `cas + i·step`, and every entry it pops
+            // (a pre-run completion, or one pushed `pipeline_depth` blocks
+            // earlier) must be no later than that. The second form covers
+            // a run's head, while the deque still holds the completions of
+            // the blocks before the row switch.
+            let cadence = full
+                && self.inflight.back() == Some(&self.simd_free)
+                && self
+                    .inflight
+                    .iter()
+                    .zip(self.inflight.iter().skip(1))
+                    .all(|(a, b)| b.wrapping_sub(*a) == d);
+            if !cadence {
+                let depth = self.pipeline_depth as u64;
+                // Jump block index of the first pop.
+                let first_pop = depth - self.inflight.len() as u64 + 1;
+                if d != step
+                    || self.simd_free > cas + depth * step
+                    || self
+                        .inflight
+                        .iter()
+                        .zip(first_pop..)
+                        .any(|(&t, i)| t > cas + i * step)
+                {
+                    return None;
+                }
             }
         } else {
             // No pushes: any pops would drain pre-run completions that are
@@ -729,18 +860,24 @@ impl<'a> UnitCursor<'a> {
         let last_cas = bt.cas_at + kd;
         let last_data_end = bt.data_end + kd;
         self.run_left -= k;
-        // After issuing the last follower: one AGEN tick past the
-        // previous block's CAS.
-        self.gen_clock = last_cas - d + 1;
-        self.agen_iter_sum += k;
-        self.agen_iter_max = self.agen_iter_max.max(1);
-        if 1 > self.burst_window {
-            self.agen_bubbles += k;
-        }
+        // After issuing the last follower: its AGEN cost past the previous
+        // block's CAS. No follower bubbles (each costs at most the burst
+        // window).
+        let (iters, max_iters, last_iters) = self.run_costs.next_k(k);
+        self.gen_clock = last_cas - d + last_iters as u64;
+        self.agen_iter_sum += iters;
+        self.agen_iter_max = self.agen_iter_max.max(max_iters);
         self.not_before = last_cas;
         if cur.compute {
-            for t in self.inflight.iter_mut() {
-                *t += kd;
+            // Block i pops the front once the deque is full and pushes
+            // `simd_free + i·d`: the deque keeps its newest `min(len + k,
+            // depth)` entries.
+            let len = self.inflight.len() as u64;
+            let kept = (len + k).min(self.pipeline_depth as u64);
+            let pushed = kept.min(k);
+            self.inflight.drain(..(len - (kept - pushed)) as usize);
+            for i in k - pushed + 1..=k {
+                self.inflight.push_back(self.simd_free + i * d);
             }
             self.simd_free += kd;
             self.simd_ops += k * self.simd_ops_per_block;
@@ -1020,8 +1157,9 @@ impl<'a> UnitCursor<'a> {
                 // of the admitted run's synthesized followers, the entries
                 // are interchangeable — identical but for `gen_ready`
                 // stamps, which the CAS cadence provably masks (a
-                // follower's stamp is at most one cycle past the previous
-                // CAS, and the cadence step is at least the burst length).
+                // follower's stamp is at most its AGEN cost, ≤ the burst
+                // window, past the previous CAS, and the cadence step is at
+                // least the burst window).
                 // So issue the remaining followers virtually, leaving the
                 // window untouched: the arithmetic below is the synthesis
                 // arithmetic verbatim, and `run_left` crosses zero at the
@@ -1036,11 +1174,8 @@ impl<'a> UnitCursor<'a> {
                             return RunReply::Jump { count: k, d };
                         }
                         self.run_left -= 1;
-                        self.gen_clock = self.gen_clock.max(self.not_before) + 1;
-                        self.agen_iter_sum += 1;
-                        if 1 > self.burst_window {
-                            self.agen_bubbles += 1;
-                        }
+                        let iters = self.run_costs.next();
+                        self.charge_agen(iters);
                         // `cur` already carries the follower's coord, key,
                         // category, and compute flag; its `gen_ready` stamp
                         // is dead past `issue_nb`, so no rebuild is needed.
@@ -1236,6 +1371,7 @@ fn run_units(
     // already fills reorder windows. The fallback cause explains the whole
     // phase (precedence: traffic > refresh > trace > other).
     let admit = fast && run_granular_enabled();
+    let step = ts.cas_step();
     let cause = if traffic.is_some() {
         FB_TRAFFIC
     } else if ts.config().refresh {
@@ -1246,7 +1382,10 @@ fn run_units(
         FB_OTHER
     } as u8;
     for u in units.iter_mut() {
-        u.run_admit = admit;
+        // Skipped steps may cost up to the burst window each; the
+        // closed-form issue paths mask that only within one CAS step (see
+        // `UnitCursor::jump_len`).
+        u.run_admit = admit && u.burst_window <= step;
         u.fallback_cause = cause;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units

@@ -15,10 +15,12 @@
 
 use crate::config::{AgenMode, SystemConfig};
 use crate::engine::{
-    run_phase_auto, PlainSteps, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
+    run_phase_auto, PlainSteps, RunCosts, Step, StepSource, SubsetRemap, TrafficCursor,
+    UnitCursor,
 };
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
+use std::collections::VecDeque;
 use stepstone_addr::agen::Spans;
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
@@ -463,7 +465,13 @@ impl GemmContext {
                 } else {
                     SpanSource::Program(Box::new(a.span_program()))
                 };
-                WalkCursor::Spanned { spans, cur: 0, remaining: 0, first_iters: 0 }
+                WalkCursor::Spanned {
+                    spans,
+                    cur: 0,
+                    remaining: 0,
+                    first_iters: 0,
+                    ahead: VecDeque::new(),
+                }
             }
         }
     }
@@ -494,10 +502,40 @@ impl SpanSource {
 /// The StepStone variant pulls batched [`stepstone_addr::AgenSpan`] runs —
 /// replayed from the periodic span-program cache on the production path —
 /// and unrolls them with a span counter, so the GF(2) corrector runs at
-/// most once per run instead of once per block.
+/// most once per run instead of once per block. `ahead` holds spans a
+/// cross-span run hint pulled early (see [`WalkCursor::run_hint`]); they are
+/// consumed before the generator is asked again.
 pub enum WalkCursor {
     Naive(NaiveAgen),
-    Spanned { spans: SpanSource, cur: u64, remaining: u64, first_iters: u32 },
+    Spanned {
+        spans: SpanSource,
+        cur: u64,
+        remaining: u64,
+        first_iters: u32,
+        ahead: VecDeque<AgenSpan>,
+    },
+}
+
+/// Blocks of the span `[pa, pa + len blocks)` from its start up to the
+/// first boundary where a non-column bit flips (all `len` when every
+/// varying bit is column-pure): addresses share every bit at or above the
+/// lowest impure varying bit until the next multiple of it, so that prefix
+/// holds one window key.
+#[inline]
+fn column_pure_prefix(pa: u64, len: u64, col_pure: u64) -> u64 {
+    if len <= 1 {
+        return len;
+    }
+    let last = pa + (len - 1) * BLOCK_BYTES;
+    let top = 63 - (pa ^ last).leading_zeros();
+    let varying = (1u64 << (top + 1)) - (1u64 << BLOCK_SHIFT);
+    let impure = varying & !col_pure;
+    if impure == 0 {
+        return len;
+    }
+    let b = impure.trailing_zeros();
+    let boundary = ((pa >> b) + 1) << b;
+    (boundary - pa) / BLOCK_BYTES
 }
 
 impl WalkCursor {
@@ -506,9 +544,12 @@ impl WalkCursor {
     pub fn next(&mut self) -> Option<(u64, u32)> {
         match self {
             WalkCursor::Naive(a) => a.next().map(|s| (s.pa, s.iterations)),
-            WalkCursor::Spanned { spans, cur, remaining, first_iters } => {
+            WalkCursor::Spanned { spans, cur, remaining, first_iters, ahead } => {
                 if *remaining == 0 {
-                    let span = spans.next()?;
+                    let span = match ahead.pop_front() {
+                        Some(span) => span,
+                        None => spans.next()?,
+                    };
                     *cur = span.start_pa;
                     *remaining = span.len;
                     *first_iters = span.iterations;
@@ -523,36 +564,70 @@ impl WalkCursor {
     }
 
     /// Whole-run hint for the engine: how many upcoming blocks (including
-    /// the next) are contiguous with coordinates differing only in the
-    /// column — i.e. the rest of the current span when every varying
-    /// address bit is column-pure under the mapping, and otherwise the
-    /// span's prefix up to the first boundary where a non-column bit
-    /// flips. Long replayed spans (window-granular runs straddling a row
-    /// or bank boundary) are thus promised chunk by chunk instead of not
-    /// at all. 1 = no promise.
-    #[inline]
-    pub fn run_hint(&self, col_pure_mask: u64) -> u64 {
-        match self {
-            WalkCursor::Naive(_) => 1,
-            WalkCursor::Spanned { cur, remaining, .. } => {
-                if *remaining <= 1 {
-                    return 1;
+    /// the next) share one window key, their coordinates differing only in
+    /// the column. 1 = no promise, which is also the answer before a span
+    /// is loaded (the next block is a span head).
+    ///
+    /// Within the current span the promise is its column-pure prefix
+    /// (`column_pure_prefix`): long replayed spans straddling a row or
+    /// bank boundary are promised chunk by chunk. When that prefix reaches
+    /// the span's end, the promise continues through the following spans —
+    /// pulled into `ahead` as needed — while each one starts on the next
+    /// block's (bank, row) key under `mapping`, is column-pure as a whole
+    /// (`col_pure` holds the PA bits that only move the column), and has a
+    /// head costing at most `max_head_iters` AGEN iterations (the unit's
+    /// burst window, the `StepSource::take_run` contract's bound).
+    /// Small-N walks produce exactly such chains: 2-block spans that stay
+    /// in one row for dozens of blocks. The look-ahead is bounded by the
+    /// row (a key holds at most one row's blocks, and a walk never revisits
+    /// a block), and every promise stops short of `end_pa` (the end of the
+    /// next block's page under an active paging layer, `u64::MAX`
+    /// otherwise).
+    pub fn run_hint(
+        &mut self,
+        col_pure: u64,
+        mapping: &XorMapping,
+        max_head_iters: u32,
+        end_pa: u64,
+    ) -> u64 {
+        let WalkCursor::Spanned { spans, cur, remaining, ahead, .. } = self else { return 1 };
+        if *remaining == 0 {
+            return 1;
+        }
+        let page_left = (end_pa - *cur) / BLOCK_BYTES;
+        let in_span = column_pure_prefix(*cur, *remaining, col_pure);
+        if in_span < *remaining || in_span >= page_left {
+            return in_span.min(page_left);
+        }
+        let g = mapping.geometry();
+        let key = |pa: u64| {
+            let c = mapping.decode(pa);
+            (c.bank_index(g), c.row)
+        };
+        let anchor = key(*cur);
+        let mut hint = in_span;
+        for i in 0.. {
+            if i == ahead.len() {
+                match spans.next() {
+                    Some(span) => ahead.push_back(span),
+                    None => break,
                 }
-                let last = *cur + (*remaining - 1) * BLOCK_BYTES;
-                let top = 63 - (*cur ^ last).leading_zeros();
-                let varying = (1u64 << (top + 1)) - (1u64 << BLOCK_SHIFT);
-                let impure = varying & !col_pure_mask;
-                if impure == 0 {
-                    return *remaining;
-                }
-                // Addresses share every bit at or above the lowest impure
-                // varying bit until the next multiple of it, so the run up
-                // to that boundary still holds one window key.
-                let b = impure.trailing_zeros();
-                let boundary = ((*cur >> b) + 1) << b;
-                (boundary - *cur) / BLOCK_BYTES
+            }
+            let span = ahead[i];
+            if span.start_pa >= end_pa
+                || span.iterations.max(1) > max_head_iters
+                || column_pure_prefix(span.start_pa, span.len, col_pure) < span.len
+                || key(span.start_pa) != anchor
+            {
+                break;
+            }
+            let fit = span.len.min((end_pa - span.start_pa) / BLOCK_BYTES);
+            hint += fit;
+            if fit < span.len {
+                break;
             }
         }
+        hint
     }
 
     /// Address of the next block this cursor will yield, without advancing
@@ -568,26 +643,43 @@ impl WalkCursor {
         }
     }
 
-    /// Skip up to `n` blocks of the current span without yielding them
-    /// (the [`StepSource::take_run`] contract: only callable for blocks a
-    /// hint already promised, each a plain one-iteration continuation).
+    /// Skip up to `n` blocks without yielding them (the
+    /// [`StepSource::take_run`] contract: only callable for blocks a hint
+    /// already promised): the rest of the current span, then the spans the
+    /// hint pulled into `ahead`, recording each continued span head's AGEN
+    /// cost in `costs` (the current span's blocks cost one iteration).
     /// Returns the number skipped; 0 when the cursor cannot promise
-    /// one-iteration continuations (naive AGEN, or a span head whose
-    /// corrector cost is still unconsumed).
-    #[inline]
-    pub fn take_run(&mut self, n: u64) -> u64 {
-        match self {
-            WalkCursor::Naive(_) => 0,
-            WalkCursor::Spanned { cur, remaining, first_iters, .. } => {
-                if *first_iters != 0 {
-                    return 0;
-                }
-                let k = n.min(*remaining);
-                *cur += k * BLOCK_BYTES;
-                *remaining -= k;
-                k
-            }
+    /// continuations (naive AGEN, or a span head whose corrector cost is
+    /// still unconsumed).
+    pub fn take_run(&mut self, n: u64, costs: &mut RunCosts) -> u64 {
+        let WalkCursor::Spanned { cur, remaining, first_iters, ahead, .. } = self else {
+            return 0;
+        };
+        if *first_iters != 0 {
+            return 0;
         }
+        let mut k = n.min(*remaining);
+        *cur += k * BLOCK_BYTES;
+        *remaining -= k;
+        while k < n {
+            let Some(span) = ahead.pop_front() else { break };
+            costs.record(k, span.iterations.max(1));
+            let t = (n - k).min(span.len);
+            *cur = span.start_pa + t * BLOCK_BYTES;
+            *remaining = span.len - t;
+            k += t;
+        }
+        k
+    }
+
+    /// The next `n` block addresses a [`WalkCursor::take_run`] would skip
+    /// (debug cross-check of the promised keys).
+    #[cfg(debug_assertions)]
+    fn upcoming(&self, n: u64) -> Vec<u64> {
+        let WalkCursor::Spanned { cur, remaining, ahead, .. } = self else { return Vec::new() };
+        let here = (0..*remaining).map(|i| *cur + i * BLOCK_BYTES);
+        let later = ahead.iter().flat_map(|s| (0..s.len).map(|i| s.start_pa + i * BLOCK_BYTES));
+        here.chain(later).take(n as usize).collect()
     }
 }
 
@@ -651,6 +743,9 @@ pub struct KernelStream<'a> {
     uncached_agen: bool,
     /// PA bits that only move the column coordinate (run-hint guard).
     col_pure: u64,
+    /// The kernel unit's AGEN burst window: the costliest span head a
+    /// cross-span run hint may continue into.
+    burst: u32,
     /// Set when the system's paging layer affects this stream: run hints
     /// are clipped at page boundaries so promised runs never straddle a
     /// frame (translation can break keys there, and transitions must be
@@ -709,6 +804,7 @@ impl<'a> KernelStream<'a> {
             queued: None,
             uncached_agen: false,
             col_pure: ctx.mapping.column_pure_mask(),
+            burst: u32::try_from(sys.dram.timing.t_bl).unwrap_or(u32::MAX),
             page: ctx.page_map.clone().filter(|m| m.affects_stream()),
             #[cfg(debug_assertions)]
             last_pa: 0,
@@ -889,8 +985,9 @@ impl StepSource for KernelStream<'_> {
     /// Promise upcoming same-key runs to the engine:
     ///
     /// * **Gemm** (non-eCHO) — the rest of the current AGEN span up to the
-    ///   first non-column-pure boundary; the span program's replayed runs
-    ///   surface here as whole-run window fills.
+    ///   first non-column-pure boundary, continued across following spans
+    ///   on the same key (see [`WalkCursor::run_hint`]); the span program's
+    ///   replayed runs surface here as whole-run window fills.
     /// * **FillC/FillB/DrainC** — the region cursor's tabulated
     ///   same-(bank, row) run from its current rank, clamped to the
     ///   remaining slice (fill runs are *not* contiguous in the address
@@ -904,22 +1001,18 @@ impl StepSource for KernelStream<'_> {
     /// common), so a clipped promise that held on virtual addresses holds
     /// on the translated stream, while page transitions stay real pulls
     /// that carry the PTW cost.
-    fn run_hint(&self) -> u64 {
+    fn run_hint(&mut self) -> u64 {
         if self.queued.is_some() {
             return 1;
         }
         match self.stage {
             KernelStage::Gemm if !self.echo => {
-                let Some(w) = self.walk.as_ref() else { return 1 };
-                let h = w.run_hint(self.col_pure);
-                match (&self.page, w.peek_pa()) {
-                    (Some(pm), Some(va)) if h > 1 => {
-                        // The A-walk's spans are address-contiguous.
-                        let page_end = (va | pm.page_mask()) + 1;
-                        h.min((page_end - va) / BLOCK_BYTES)
-                    }
-                    _ => h,
-                }
+                let Some(w) = self.walk.as_mut() else { return 1 };
+                let end_pa = match (&self.page, w.peek_pa()) {
+                    (Some(pm), Some(va)) => (va | pm.page_mask()) + 1,
+                    _ => u64::MAX,
+                };
+                w.run_hint(self.col_pure, &self.ctx.mapping, self.burst, end_pa)
             }
             KernelStage::FillC | KernelStage::FillB | KernelStage::DrainC => {
                 let Some(it) = self.fill.as_ref() else { return 1 };
@@ -945,21 +1038,19 @@ impl StepSource for KernelStream<'_> {
         }
     }
 
-    fn take_run(&mut self, n: u64) -> u64 {
+    fn take_run(&mut self, n: u64, costs: &mut RunCosts) -> u64 {
         if self.queued.is_some() {
             return 0;
         }
         match self.stage {
             KernelStage::Gemm if !self.echo => {
                 #[cfg(debug_assertions)]
-                if let Some(WalkCursor::Spanned { cur, remaining, first_iters, .. }) = &self.walk {
-                    if *first_iters == 0 {
-                        for i in 0..n.min(*remaining) {
-                            self.check_run_key(*cur + i * BLOCK_BYTES);
-                        }
+                if let Some(w) = &self.walk {
+                    for pa in w.upcoming(n) {
+                        self.check_run_key(pa);
                     }
                 }
-                self.walk.as_mut().map_or(0, |w| w.take_run(n))
+                self.walk.as_mut().map_or(0, |w| w.take_run(n, costs))
             }
             KernelStage::FillC | KernelStage::FillB | KernelStage::DrainC => {
                 let Some(it) = self.fill.as_ref() else { return 0 };
@@ -1097,14 +1188,14 @@ impl<S: Iterator<Item = Step>> Iterator for PagedSteps<S> {
 }
 
 impl<S: StepSource> StepSource for PagedSteps<S> {
-    fn run_hint(&self) -> u64 {
+    fn run_hint(&mut self) -> u64 {
         self.inner.run_hint()
     }
 
     // Skipped blocks were promised by a page-clipped hint, so they share
     // the anchor's page: `cur_vpn` is already theirs.
-    fn take_run(&mut self, n: u64) -> u64 {
-        self.inner.take_run(n)
+    fn take_run(&mut self, n: u64, costs: &mut RunCosts) -> u64 {
+        self.inner.take_run(n, costs)
     }
 }
 
@@ -1293,7 +1384,7 @@ pub fn simulate_pow2_gemm_resident(
 /// each PIM's step program in `mode`, translated through the paging layer
 /// (paying the PTW on page transitions) and under the PIM-subset remap.
 /// Every flow that runs StepStone kernels builds them here.
-pub(crate) fn kernel_cursors<'a>(
+pub fn kernel_cursors<'a>(
     ctx: &'a GemmContext,
     sys: &SystemConfig,
     opts: &SimOptions,

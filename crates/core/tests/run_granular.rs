@@ -11,7 +11,8 @@
 //!   that gate admission: refresh, command tracing, colocated CPU traffic,
 //!   per-channel parallelism;
 //! * property tests driving a synthetic hinted source — runs straddling
-//!   row boundaries, launch barriers, partial skips, and refresh windows —
+//!   row boundaries, launch barriers, partial skips, refresh windows, and
+//!   skipped steps costing up to the burst window in AGEN iterations —
 //!   against the identical program pulled per-block through `PlainSteps`;
 //! * the process-wide run counters: deterministic across serial/parallel
 //!   engines, zero when the knob is off, and fallback splits attributed to
@@ -23,8 +24,8 @@
 use proptest::prelude::*;
 use stepstone_addr::{mapping_by_id, MappingId, PimLevel, XorMapping};
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase, set_run_granular, Step, StepSource, UnitCursor,
-    FB_REFRESH, FB_TRACE, FB_TRAFFIC,
+    reset_run_counters, run_counters, run_phase, set_run_granular, RunCosts, Step, StepSource,
+    UnitCursor, FB_OTHER, FB_REFRESH, FB_TRACE, FB_TRAFFIC,
 };
 use stepstone_core::{
     simulate_pow2_gemm_exec, ExecMode, GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig,
@@ -249,11 +250,14 @@ fn channel0_groups(mapping: &XorMapping) -> &'static [Vec<u64>] {
     })
 }
 
+/// The kernel-shaped test unit's AGEN burst window (cycles).
+const BURST: u32 = 4;
+
 /// A step program with honest run hints computed by lookahead: `run_hint`
 /// reports the maximal same-key Access run at the cursor, and `take_run`
 /// skips within it — capped at `cap` steps when `cap > 0`, so partial
 /// skips (and the engine's per-block fallback for the remainder) are
-/// exercised too.
+/// exercised too — reporting each skipped step's AGEN cost.
 struct HintedVec {
     steps: Vec<Step>,
     /// Window key per step (`None` for launches).
@@ -281,20 +285,21 @@ impl HintedVec {
         Self { steps, keys, pos: 0, cap }
     }
 
-    /// Length of the maximal run starting at `p`: consecutive Accesses
-    /// sharing the window key, category, compute flag, and one AGEN
-    /// iteration each (the `take_run` contract).
+    /// Length of the maximal run starting at `p`: the anchor, then
+    /// consecutive Accesses sharing its window key, category, and compute
+    /// flag, each costing 1 ..= `BURST` AGEN iterations (the `take_run`
+    /// contract). A costlier step ends the run.
     fn run_len_at(&self, p: usize) -> u64 {
         let Some(Some(key)) = self.keys.get(p) else { return 1 };
         let (cat0, comp0) = match self.steps[p] {
-            Step::Access { cat, compute, agen_iters: 1, .. } => (cat, compute),
+            Step::Access { cat, compute, .. } => (cat, compute),
             _ => return 1,
         };
         let mut n = 1;
         while let (Some(Some(k)), Some(s)) = (self.keys.get(p + n), self.steps.get(p + n)) {
             match *s {
-                Step::Access { cat, compute, agen_iters: 1, .. }
-                    if *k == *key && cat == cat0 && compute == comp0 =>
+                Step::Access { cat, compute, agen_iters, .. }
+                    if *k == *key && cat == cat0 && compute == comp0 && agen_iters <= BURST =>
                 {
                     n += 1
                 }
@@ -316,11 +321,11 @@ impl Iterator for HintedVec {
 }
 
 impl StepSource for HintedVec {
-    fn run_hint(&self) -> u64 {
+    fn run_hint(&mut self) -> u64 {
         self.run_len_at(self.pos)
     }
 
-    fn take_run(&mut self, n: u64) -> u64 {
+    fn take_run(&mut self, n: u64, costs: &mut RunCosts) -> u64 {
         // The anchor was just pulled (pos is one past it); the remaining
         // same-key steps from pos are exactly what the hint promised.
         let mut take = n;
@@ -331,6 +336,11 @@ impl StepSource for HintedVec {
             self.pos > 0 && self.run_len_at(self.pos - 1) > take,
             "engine asked beyond the hinted run"
         );
+        for (off, s) in self.steps[self.pos..self.pos + take as usize].iter().enumerate() {
+            if let Step::Access { agen_iters, .. } = *s {
+                costs.record(off as u64, agen_iters);
+            }
+        }
         self.pos += take as usize;
         take
     }
@@ -357,9 +367,28 @@ fn build_program(groups: &[Vec<u64>], runs: &[RunSpec]) -> Vec<Step> {
 /// Everything observable about a finished unit.
 type UnitObs = (u64, u64, [u64; 8], u64, u64, u64, u64, u32, u64, DramStats);
 
+/// Give the program's Accesses AGEN costs cycling through `raw`, each raw
+/// draw mapped to a cost: mostly 1, often a span-head-like 2 ..= `BURST`,
+/// and sometimes 5 ..= 7 — above the burst window, where a hint must end.
+fn with_agen_costs(mut steps: Vec<Step>, raw: &[u32]) -> Vec<Step> {
+    let mut draws = raw.iter().cycle();
+    for s in &mut steps {
+        if let Step::Access { agen_iters, .. } = s {
+            let r = *draws.next().expect("non-empty cost draws");
+            *agen_iters = match r {
+                0..8 => 1,
+                8..13 => 2 + (r - 8) % (BURST - 1),
+                _ => BURST + 1 + (r - 13),
+            };
+        }
+    }
+    steps
+}
+
 /// Drive one unit over `steps` through the serial phase engine and return
 /// the full observable state. `hinted` selects the run-capable source;
-/// `rg` the global knob; `cap` a partial-skip ceiling (0 = unlimited).
+/// `rg` the global knob; `cap` a partial-skip ceiling (0 = unlimited);
+/// `simd` the SIMD cycles per compute block and its pipeline depth.
 fn drive(
     mapping: &XorMapping,
     steps: Vec<Step>,
@@ -367,6 +396,7 @@ fn drive(
     hinted: bool,
     rg: bool,
     cap: u64,
+    (simd, depth): (u64, usize),
 ) -> UnitObs {
     let was = set_run_granular(rg);
     let mut ts = TimingState::new(DramConfig { refresh, ..DramConfig::default() });
@@ -374,8 +404,20 @@ fn drive(
     let mk = |steps: Box<dyn StepSource + Send>| {
         // Compute-capable kernel shape: SIMD pipeline, launch gating, the
         // 4-cycle AGEN burst window.
-        let mut u =
-            UnitCursor::from_source("rg", 0, Port::BgInternal, steps, 0, 2, 16, 8, 4, 10, 4, None);
+        let mut u = UnitCursor::from_source(
+            "rg",
+            0,
+            Port::BgInternal,
+            steps,
+            0,
+            simd,
+            16,
+            depth,
+            4,
+            10,
+            BURST as u64,
+            None,
+        );
         u.exclusive = true;
         u
     };
@@ -422,11 +464,47 @@ proptest! {
         let mapping = mapping_by_id(MappingId::Skylake);
         let groups = channel0_groups(&mapping);
         let steps = build_program(groups, &runs);
-        let granular = drive(&mapping, steps.clone(), refresh, true, true, cap);
-        let hinted_off = drive(&mapping, steps.clone(), refresh, true, false, cap);
-        let plain = drive(&mapping, steps, refresh, false, false, 0);
+        let granular = drive(&mapping, steps.clone(), refresh, true, true, cap, (2, 8));
+        let hinted_off = drive(&mapping, steps.clone(), refresh, true, false, cap, (2, 8));
+        let plain = drive(&mapping, steps, refresh, false, false, 0, (2, 8));
         prop_assert_eq!(&granular, &hinted_off, "run-granular vs per-block (hinted source)");
         prop_assert_eq!(&granular, &plain, "run-granular vs plain per-block source");
+    }
+
+    // The same three-way agreement when skipped steps cost more than one
+    // AGEN iteration — span heads of 2 ..= burst-window iterations, as in
+    // runs that continue across AGEN spans — with costlier steps mixed in
+    // that must end the hint instead. Every hinted follower is skipped
+    // (no cap), so a run the source refused shows up as an "other"
+    // fallback. SIMD costs from below the CAS step to well above it, and
+    // shallow pipelines, exercise both closed-form jump forms and pre-run
+    // completions still in flight at a run's head.
+    #[test]
+    fn hinted_runs_with_agen_costs_match_per_block_engine(
+        runs in proptest::collection::vec(
+            (0usize..64, 1usize..40, any::<bool>(), any::<bool>(), any::<bool>()),
+            1..12,
+        ),
+        raw_costs in proptest::collection::vec(0u32..16, 1..24),
+        refresh in any::<bool>(),
+        simd_sel in 0usize..4,
+        depth in 2usize..9,
+    ) {
+        let _serial = knob_lock();
+        let mapping = mapping_by_id(MappingId::Skylake);
+        let groups = channel0_groups(&mapping);
+        let steps = with_agen_costs(build_program(groups, &runs), &raw_costs);
+        let unit = ([2, 5, 6, 24][simd_sel], depth);
+        reset_run_counters();
+        let granular = drive(&mapping, steps.clone(), refresh, true, true, 0, unit);
+        let c = run_counters();
+        let hinted_off = drive(&mapping, steps.clone(), refresh, true, false, 0, unit);
+        let plain = drive(&mapping, steps, refresh, false, false, 0, unit);
+        prop_assert_eq!(&granular, &hinted_off, "run-granular vs per-block (hinted source)");
+        prop_assert_eq!(&granular, &plain, "run-granular vs plain per-block source");
+        if !refresh {
+            prop_assert_eq!(c.fallback[FB_OTHER], 0, "every hinted follower was skipped");
+        }
     }
 }
 
@@ -450,9 +528,9 @@ fn long_runs_jump_closed_form_exactly() {
         let steps = build_program(groups, &runs);
         let blocks = steps.iter().filter(|s| matches!(s, Step::Access { .. })).count() as u64;
         reset_run_counters();
-        let granular = drive(&mapping, steps.clone(), false, true, true, 0);
+        let granular = drive(&mapping, steps.clone(), false, true, true, 0, (2, 8));
         let c = run_counters();
-        let plain = drive(&mapping, steps, false, false, false, 0);
+        let plain = drive(&mapping, steps, false, false, false, 0, (2, 8));
         assert_eq!(granular, plain, "compute={compute}");
         assert_eq!(c.runs, 2, "both hinted runs admitted: {c:?}");
         assert_eq!(c.run_blocks, blocks, "anchors + followers: {c:?}");

@@ -1,9 +1,10 @@
 //! Per-phase wall-clock breakdown of one streaming GEMM simulation —
 //! the profiling companion to `bench_sim` (which times end-to-end runs).
 //! Each phase also reports its run-granularity statistics: hinted runs
-//! admitted as single scheduling objects, their mean length, and the
-//! per-block fallback split by cause (refresh / row / trace / traffic /
-//! other).
+//! admitted as single scheduling objects, their mean length and log2
+//! length histogram, and the per-block fallback split by cause (refresh /
+//! row / trace / traffic / other). All but the wall-clock times are
+//! deterministic.
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -12,9 +13,9 @@
 use std::time::Instant;
 use stepstone_addr::PimLevel;
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase_auto, RunCounters, UnitCursor, FB_LABELS,
+    reset_run_counters, run_counters, run_phase_auto, RunCounters, FB_LABELS,
 };
-use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
+use stepstone_core::flow::{kernel_cursors, transfer_cursors, ExecMode, GemmContext};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
 use stepstone_dram::{CommandBus, DramConfig, TimingState};
 
@@ -63,6 +64,25 @@ fn profile(ts: &mut TimingState, sys: &SystemConfig, m: usize, k: usize, n: usiz
             rc.mean_run_len(),
             if splits.is_empty() { "none".into() } else { splits.join(", ") },
         );
+        // Bucket i holds runs of 2^i ..= 2^(i+1) - 1 blocks; the last one
+        // also holds every longer run.
+        let last = rc.hist.len() - 1;
+        let hist: Vec<String> = rc
+            .hist
+            .iter()
+            .enumerate()
+            .filter(|&(_, &h)| h > 0)
+            .map(|(i, h)| {
+                if i == last {
+                    format!("{}+: {h}", 1u64 << i)
+                } else {
+                    format!("{}-{}: {h}", 1u64 << i, (2u64 << i) - 1)
+                }
+            })
+            .collect();
+        if !hist.is_empty() {
+            println!("        run lengths (blocks: runs): {}", hist.join(", "));
+        }
     };
 
     let t0 = Instant::now();
@@ -81,26 +101,7 @@ fn profile(ts: &mut TimingState, sys: &SystemConfig, m: usize, k: usize, n: usiz
 
     let t0 = Instant::now();
     reset_run_counters();
-    let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
-        .map(|pix| {
-            let mut u = UnitCursor::from_source(
-                "pim",
-                ctx.pim_channel(ctx.active_pims[pix]),
-                opts.level_cfg.port(),
-                KernelStream::new(&ctx, sys, &opts, pix),
-                loc_end,
-                opts.level_cfg.compute_cycles_per_block(ctx.n),
-                opts.level_cfg.simd_ops_per_block(ctx.n),
-                opts.level_cfg.pipeline_depth as usize,
-                sys.launch.slots_for(opts.granularity),
-                sys.launch.launch_latency,
-                sys.dram.timing.t_bl,
-                None,
-            );
-            u.exclusive = true;
-            u
-        })
-        .collect();
+    let mut units = kernel_cursors(&ctx, sys, &opts, ExecMode::Streaming, loc_end);
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
     let kern_blocks = ts.stats.accesses() - loc_blocks;
     phase_stats("kernel", t0, kern_blocks, run_counters());
